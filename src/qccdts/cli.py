@@ -1,7 +1,9 @@
 """Command-line surface: build, reflect, verify, distance, tables, search.
 
 Exit codes are a stable contract: 0 means every requested check passed,
-1 means a verification failure, 2 means a usage or input error.
+1 means a verification failure, 2 means a usage or input error. A reader
+that closes stdout early (``qccdts search ... | head``) ends the command
+quietly with exit 0.
 
 Input JSON schema (all commands that take ``--input``):
 
@@ -16,6 +18,7 @@ Input JSON schema (all commands that take ``--input``):
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -502,18 +505,18 @@ def cmd_search(args: argparse.Namespace) -> int:
                 "(set QCCDTS_MAX_SEARCH to override)"
             )
 
-    emitted = 0
-    try:
-        stream = search_strong_dts(args.r, args.w, args.max_scope)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
-    for family in stream:
-        if args.full_strong and family.classification != DtsClass.FULL_STRONG:
-            continue
+    if args.limit is not None and args.limit < 0:
+        raise CliInputError(f"--limit must be >= 0, got {args.limit}")
+
+    # The engine's own argument checks raise ValueError on the first
+    # iteration, which main reports as an input error.
+    families = search_strong_dts(args.r, args.w, args.max_scope)
+    if args.full_strong:
+        families = (
+            f for f in families if f.classification == DtsClass.FULL_STRONG
+        )
+    for family in itertools.islice(families, args.limit):
         print(json.dumps(family.to_json()))
-        emitted += 1
-        if args.limit is not None and emitted >= args.limit:
-            break
     return 0
 
 
@@ -572,7 +575,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("w", type=int, help="set weight")
     p_search.add_argument("max_scope", type=int, help="largest allowed exponent")
     p_search.add_argument("--full-strong", action="store_true")
-    p_search.add_argument("--limit", type=int, default=None)
+    p_search.add_argument(
+        "--limit", type=int, default=None,
+        help="print at most this many families (0 prints none)",
+    )
     p_search.set_defaults(func=cmd_search)
 
     return parser
@@ -582,13 +588,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except CliInputError as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except (CliInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except BrokenPipeError:
+        # The reader went away (``qccdts search ... | head``). Send the rest
+        # of stdout to devnull so the flush at interpreter exit cannot raise
+        # again; a closed pipe is not a failure.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":

@@ -209,13 +209,23 @@ def family_from_json(payload: dict) -> DtsFamily:
     return classify(members)
 
 
-def _wdts_candidates(w: int, max_scope: int) -> list[tuple[SupportSet, frozenset[int]]]:
+def _wdts_candidates(w: int, max_scope: int) -> list[tuple[SupportSet, int]]:
+    """Every normalized w-set with scope <= max_scope and distinct differences.
+
+    Each set comes with its difference mask: bit d is set for every positive
+    difference d. A set is dropped as soon as one of its differences repeats.
+    """
     out = []
     for combo in itertools.combinations(range(1, max_scope + 1), w - 1):
         elems = (0,) + combo
-        diffs = positive_differences(elems)
-        if len(set(diffs)) == len(diffs):
-            out.append((SupportSet(elems), frozenset(diffs)))
+        mask = 0
+        for a, b in itertools.combinations(elems, 2):
+            bit = 1 << (b - a)
+            if mask & bit:
+                break
+            mask |= bit
+        else:
+            out.append((SupportSet(elems), mask))
     return out
 
 
@@ -225,6 +235,12 @@ def search_strong_dts(r: int, w: int, max_scope: int) -> Iterator[DtsFamily]:
     Families are canonical (member sets in lexicographic order, which also
     deduplicates permuted copies) and are yielded in lexicographic order of
     that canonical form. The stream is empty when no family exists.
+
+    The search carries the union of the chosen sets' difference masks, so
+    each family is classified from that mask without calling
+    :func:`classify`. Because every set is normalized, the largest
+    difference is the family scope, which is the tightest budget M; the
+    family is FULL_STRONG iff the mask covers exactly 1..M.
     """
     if r < 1:
         raise ValueError("need at least one set")
@@ -233,18 +249,21 @@ def search_strong_dts(r: int, w: int, max_scope: int) -> Iterator[DtsFamily]:
     if max_scope < w - 1:
         raise ValueError(f"scope {max_scope} cannot hold a {w}-set")
 
-    candidates = _wdts_candidates(w, max_scope)
-
     def extend(
-        start: int, chosen: list[SupportSet], used: frozenset[int]
+        pool: list[tuple[SupportSet, int]], chosen: tuple[SupportSet, ...], used: int
     ) -> Iterator[DtsFamily]:
-        if len(chosen) == r:
-            yield classify(chosen)
-            return
-        for idx in range(start, len(candidates)):
-            member, diffs = candidates[idx]
-            if used & diffs:
+        # ``pool`` holds only the later candidates whose masks miss ``used``.
+        for idx, (member, mask) in enumerate(pool):
+            family = chosen + (member,)
+            covered = used | mask
+            if len(family) < r:
+                rest = [c for c in pool[idx + 1:] if not c[1] & covered]
+                yield from extend(rest, family, covered)
                 continue
-            yield from extend(idx + 1, chosen + [member], used | diffs)
+            budget = covered.bit_length() - 1
+            full = covered == (1 << (budget + 1)) - 2
+            yield DtsFamily(
+                family, DtsClass.FULL_STRONG if full else DtsClass.STRONG, budget
+            )
 
-    yield from extend(0, [], frozenset())
+    yield from extend(_wdts_candidates(w, max_scope), (), 0)

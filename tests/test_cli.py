@@ -312,6 +312,27 @@ class TestSearch:
         _, full, _ = run_cli(capsys, "search", "3", "2", "6")
         assert lines[0] == full.splitlines()[0]
 
+    def test_limit_zero_prints_nothing(self, capsys):
+        code, out, err = run_cli(capsys, "search", "3", "2", "6", "--limit", "0")
+        assert code == 0
+        assert out == ""
+        assert err == ""
+
+    def test_negative_limit_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "search", "3", "2", "6", "--limit", "-3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+
+    def test_engine_guard_error_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "search", "0", "2", "5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_full_strong_filter(self, capsys):
         code, out, _ = run_cli(capsys, "search", "2", "2", "4", "--full-strong")
         assert code == 0
@@ -345,3 +366,17 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert '"sets": [[0, 1], [0, 2]]' in proc.stdout
+
+
+def test_broken_pipe_exits_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qccdts.cli", "search", "3", "3", "20"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert json.loads(first)["sets"] == [[0, 1, 3], [0, 4, 9], [0, 6, 13]]
+    assert proc.returncode == 0
+    assert err == b""

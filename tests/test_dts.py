@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -181,7 +182,6 @@ class TestSearch:
         first = [str(f) for f in search_strong_dts(3, 2, 6)]
         second = [str(f) for f in search_strong_dts(3, 2, 6)]
         assert first == second
-        assert first == sorted(first) or first  # lexicographic canonical order
         canon = [tuple(s.elements for s in f.sets) for f in search_strong_dts(3, 2, 6)]
         assert canon == sorted(canon)
 
@@ -193,6 +193,43 @@ class TestSearch:
                     seen_full += 1
                     assert fam.size * math.comb(fam.weight, 2) == fam.budget
         assert seen_full > 0
+
+
+def _brute_force_strong(r: int, w: int, scope: int) -> list[tuple]:
+    """Every canonical strong family, found without the search engine.
+
+    Families are r-combinations of the normalized w-sets in lexicographic
+    order, kept when all their positive differences are distinct; the budget
+    is the family scope and the family is FULL_STRONG iff it covers 1..scope.
+    """
+    members = [(0,) + c for c in itertools.combinations(range(1, scope + 1), w - 1)]
+    out = []
+    for family in itertools.combinations(members, r):
+        diffs = [b - a for s in family for a, b in itertools.combinations(s, 2)]
+        if len(set(diffs)) != len(diffs):
+            continue
+        top = max(s[-1] for s in family)
+        full = sorted(diffs) == list(range(1, top + 1))
+        out.append((family, DtsClass.FULL_STRONG if full else DtsClass.STRONG, top))
+    return out
+
+
+@pytest.mark.parametrize(
+    "r, w, scope",
+    [
+        (r, w, scope)
+        for r in (1, 2, 3)
+        for w in (2, 3)
+        for scope in range(w - 1, 10)
+    ]
+    + [(4, 2, 8)],
+)
+def test_search_matches_brute_force(r, w, scope):
+    found = [
+        (tuple(s.elements for s in fam.sets), fam.classification, fam.budget)
+        for fam in search_strong_dts(r, w, scope)
+    ]
+    assert found == _brute_force_strong(r, w, scope)
 
 
 class TestJsonRoundTrip:
