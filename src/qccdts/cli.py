@@ -1,9 +1,11 @@
 """Command-line surface: build, reflect, verify, distance, tables, search.
 
 Exit codes are a stable contract: 0 means every requested check passed,
-1 means a verification failure, 2 means a usage or input error. A reader
-that closes stdout early (``qccdts search ... | head``) ends the command
-quietly with exit 0.
+1 means a verification failure, 2 means a usage or input error, 3 means
+an internal invariant failed (a contradicted distance certificate or an
+inconsistent built-in catalogue), reported as one ``internal error:`` line.
+A reader that closes stdout early (``qccdts search ... | head``) ends the
+command quietly with exit 0.
 
 Input JSON schema (all commands that take ``--input``):
 
@@ -12,7 +14,10 @@ Input JSON schema (all commands that take ``--input``):
      "m": int (optional), "w": int (optional)}
 
 ``Z_expected`` is accepted as an alias for ``Z``. The ``--one-based`` /
-``--zero-based`` flags override the file's convention.
+``--zero-based`` flags override the file's convention. Integers must be
+JSON integers (``true`` is not 1, ``"3"`` is not 3) and ``one_based`` a
+JSON boolean; a field of the wrong type is an input error naming it.
+Optional fields given as ``null`` count as absent.
 """
 
 from __future__ import annotations
@@ -64,12 +69,34 @@ class CodeInput:
     expected_w: int | None
 
 
-def _parse_sets(raw, one_based: bool):
+# The JSON name of each type json.load produces, for error messages.
+_JSON_TYPES = {
+    type(None): "null", bool: "boolean", int: "integer", float: "number",
+    str: "string", list: "array", dict: "object",
+}
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: ``bool`` is an ``int`` subclass but not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _optional_int(payload: dict, key: str) -> int | None:
+    value = payload.get(key)
+    if value is not None and not _is_int(value):
+        raise CliInputError(
+            f'"{key}" must be an integer, not {_JSON_TYPES[type(value)]}'
+        )
+    return value
+
+
+def _parse_sets(raw, one_based: bool, key: str):
     if not isinstance(raw, list) or not raw or not all(
-        isinstance(s, list) and s and all(isinstance(e, int) for e in s)
-        for s in raw
+        isinstance(s, list) and s and all(_is_int(e) for e in s) for s in raw
     ):
-        raise CliInputError("set lists must be nonempty lists of integers")
+        raise CliInputError(
+            f'"{key}" must be a nonempty list of nonempty lists of integers'
+        )
     try:
         if one_based:
             return [from_one_based(s) for s in raw]
@@ -90,29 +117,34 @@ def load_code_input(path: str, one_based_override: bool | None) -> CodeInput:
         raise CliInputError('input must be a JSON object with a "T" key')
 
     one_based = payload.get("one_based", True)
+    if not isinstance(one_based, bool):
+        raise CliInputError(
+            f'"one_based" must be true or false, not {_JSON_TYPES[type(one_based)]}'
+        )
     if one_based_override is not None:
         one_based = one_based_override
 
     try:
-        family = classify(_parse_sets(payload["T"], one_based))
+        family = classify(_parse_sets(payload["T"], one_based, "T"))
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
 
-    z_raw = payload.get("Z", payload.get("Z_expected"))
+    z_key = "Z" if "Z" in payload else "Z_expected"
+    z_raw = payload.get(z_key)
     z_family = None
     if z_raw is not None:
         try:
-            z_family = classify(_parse_sets(z_raw, one_based))
+            z_family = classify(_parse_sets(z_raw, one_based, z_key))
         except ValueError as exc:
             raise CliInputError(str(exc)) from exc
 
     pi = payload.get("pi")
     if pi is not None:
-        if not isinstance(pi, list) or not all(isinstance(e, int) for e in pi):
+        if not isinstance(pi, list) or not all(_is_int(e) for e in pi):
             raise CliInputError('"pi" must be a list of 1-based stream indices')
         pi = tuple(pi)
 
-    n = payload.get("n")
+    n = _optional_int(payload, "n")
     if n is not None and n != family.size + 1:
         raise CliInputError(
             f'"n" is {n} but the family implies n = {family.size + 1}'
@@ -121,8 +153,8 @@ def load_code_input(path: str, one_based_override: bool | None) -> CodeInput:
         family=family,
         z_family=z_family,
         pi=pi,
-        expected_m=payload.get("m"),
-        expected_w=payload.get("w"),
+        expected_m=_optional_int(payload, "m"),
+        expected_w=_optional_int(payload, "w"),
     )
 
 
@@ -594,6 +626,12 @@ def main(argv: list[str] | None = None) -> int:
     except (CliInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, AssertionError) as exc:
+        # An invariant of the library itself broke (certify_dfree's
+        # cross-check, validate_tables): neither the input's fault nor a
+        # verdict about it.
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except BrokenPipeError:
         # The reader went away (``qccdts search ... | head``). Send the rest
         # of stdout to devnull so the flush at interpreter exit cannot raise

@@ -2,11 +2,19 @@
 
 Everything here works on the systematic single-parity-row form: the n-1
 information streams are free and the parity stream is their tap-filtered
-sum, so codewords are enumerated by information frames alone. The exact
-free-distance search is a bounded-weight depth-first search over frames
-(never a full state-space sweep): with budget b and memory mu, any
-codeword of weight <= b closes within b * (mu + 1) frames, because each
-nonzero input adds weight and gaps longer than mu flush the encoder.
+sum, so codewords are enumerated by information frames alone.
+
+Both searches run the parity row's encoder as a shift register: the last
+mu information frames live in one int, newest frame in the low bits, and
+all delayed taps in one mask, so each search node costs one popcount for
+the parity of the stored frames plus a table lookup per input frame,
+whatever the memory. The exact free-distance search is a bounded-weight
+depth-first search over frames (never a full state-space sweep): with
+budget b and memory mu, any codeword of weight <= b closes within
+b * (mu + 1) frames, because each nonzero input adds weight and gaps
+longer than mu flush the register to zero. It is guarded at budget
+MAX_EXACT_BUDGET and memory MAX_EXACT_MEMORY; column-distance windows are
+capped at MAX_WINDOW_BITS information bits.
 """
 
 from __future__ import annotations
@@ -50,25 +58,35 @@ class DistanceCertificate:
     search_budget: int | None = None
 
 
-def _delay_masks(x: PolyMatrix) -> tuple[list[int], int, int]:
-    """Per-delay stream masks: bit i of masks[l] set iff l taps stream i+1."""
+def _shift_register(x: PolyMatrix) -> tuple[int, int, int, int, list[int], list[int]]:
+    """The parity row's encoder as a shift register over information frames.
+
+    The state packs the last mu frames into one int, the newest frame in
+    the low ``streams`` bits, so the frame at delay l >= 1 sits at bits
+    streams*(l-1) onward. Returns (streams, mu, keep, taps, pop, par0):
+    ``keep`` masks the state to mu frames, ``taps`` holds every delayed tap
+    at its state position, and for each input frame u, ``pop[u]`` is its
+    weight and ``par0[u]`` its delay-0 contribution to the parity bit. The
+    parity output for input u in state s is therefore
+    ``((s & taps).bit_count() & 1) ^ par0[u]`` and the next state is
+    ``((s << streams) | u) & keep``; masking after the OR makes mu = 0 keep
+    no state at all.
+    """
     supports = parity_supports(x)
     streams = len(supports)
     mu = max((max(s) for s in supports if s), default=0)
-    masks = [0] * (mu + 1)
+    taps = 0
+    mask0 = 0
     for i, sup in enumerate(supports):
         for ell in sup:
-            masks[ell] |= 1 << i
-    return masks, streams, mu
-
-
-def _parity_bit(masks: list[int], history: tuple[int, ...], u: int) -> int:
-    """Parity output at the step consuming u with the given input history."""
-    acc = (masks[0] & u).bit_count()
-    for ell in range(1, len(masks)):
-        past = history[ell - 1] if ell - 1 < len(history) else 0
-        acc += (masks[ell] & past).bit_count()
-    return acc & 1
+            if ell:
+                taps |= 1 << (streams * (ell - 1) + i)
+            else:
+                mask0 |= 1 << i
+    inputs = range(1 << streams)
+    pop = [u.bit_count() for u in inputs]
+    par0 = [(mask0 & u).bit_count() & 1 for u in inputs]
+    return streams, mu, (1 << streams * mu) - 1, taps, pop, par0
 
 
 def column_distance(h: PolyMatrix, j: int) -> int:
@@ -87,22 +105,23 @@ def column_distance(h: PolyMatrix, j: int) -> int:
             f"window too large for exact oracle: {(j + 1) * streams} information "
             f"bits exceeds {MAX_WINDOW_BITS}"
         )
-    masks, streams, mu = _delay_masks(h)
+    streams, _, keep, taps, pop, par0 = _shift_register(h)
+    inputs = range(1 << streams)
     best = (j + 2) * h.ncols  # above any achievable window weight
 
-    def descend(t: int, history: tuple[int, ...], weight: int) -> None:
+    def descend(t: int, state: int, weight: int) -> None:
         nonlocal best
-        if t > j:
-            best = min(best, weight)
-            return
-        first = range(1, 1 << streams) if t == 0 else range(0, 1 << streams)
-        for u in first:
-            w2 = weight + u.bit_count() + _parity_bit(masks, history, u)
+        p = (state & taps).bit_count() & 1
+        for u in inputs[1:] if t == 0 else inputs:
+            w2 = weight + pop[u] + (p ^ par0[u])
             if w2 >= best:
                 continue
-            descend(t + 1, (u,) + history[: mu - 1] if mu else (), w2)
+            if t == j:
+                best = w2  # a complete window, lighter than the incumbent
+            else:
+                descend(t + 1, ((state << streams) | u) & keep, w2)
 
-    descend(0, (0,) * mu, 0)
+    descend(0, 0, 0)
     return best
 
 
@@ -153,28 +172,29 @@ def dfree_exact(
         raise ValueError(
             f"budget {budget} exceeds exact-search guard {MAX_EXACT_BUDGET}"
         )
-    masks, streams, mu = _delay_masks(x)
+    streams, mu, keep, taps, pop, par0 = _shift_register(x)
     if mu > MAX_EXACT_MEMORY:
         raise ValueError(
             f"memory {mu} exceeds exact-search guard {MAX_EXACT_MEMORY}"
         )
     max_depth = horizon if horizon is not None else budget * (mu + 1)
+    inputs = range(1 << streams)
     best = budget + 1
 
-    def descend(depth: int, history: tuple[int, ...], weight: int) -> None:
+    def descend(depth: int, state: int, weight: int) -> None:
         nonlocal best
-        choices = range(1, 1 << streams) if depth == 0 else range(0, 1 << streams)
-        for u in choices:
-            w2 = weight + u.bit_count() + _parity_bit(masks, history, u)
+        p = (state & taps).bit_count() & 1
+        for u in inputs[1:] if depth == 0 else inputs:
+            w2 = weight + pop[u] + (p ^ par0[u])
             if w2 >= best:
                 continue
-            nxt = (u,) + history[: mu - 1] if mu else ()
-            if not any(nxt):
+            nxt = ((state << streams) | u) & keep
+            if nxt == 0:
                 best = w2  # encoder flushed: a complete codeword
             elif depth + 1 < max_depth:
                 descend(depth + 1, nxt, w2)
 
-    descend(0, (0,) * mu, 0)
+    descend(0, 0, 0)
     return best if best <= budget else None
 
 

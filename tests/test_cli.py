@@ -1,13 +1,22 @@
 from __future__ import annotations
 
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from qccdts import parse_poly_row
+from qccdts import cli, parse_poly_row
 from qccdts.cli import main
+
+# `qccdts distance --json` on the 14 catalogue rows and on three colliding
+# (not self-orthogonal) rows under --budget 4, 5 and 6, recorded before the
+# distance searches became shift registers. Each case holds the input JSON,
+# the argv without --input, the exit code and the exact stdout.
+DISTANCE_CASES = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "distance_cli.json").read_text()
+)
 
 
 @pytest.fixture
@@ -214,6 +223,81 @@ class TestVerify:
         assert "implies n = 3" in err
 
 
+class TestInputTypes:
+    """Each field of the input schema is type-checked in load_code_input."""
+
+    @staticmethod
+    def _run(capsys, tmp_path, **fields) -> tuple[int, str, str]:
+        payload = {"n": 3, "T": [[1, 2], [1, 3]], "pi": [2, 1], "one_based": True}
+        payload.update(fields)
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(payload))
+        return run_cli(capsys, "verify", "--input", str(path))
+
+    @staticmethod
+    def _assert_input_error(code, out, err, field):
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f'"{field}"' in err
+
+    @pytest.mark.parametrize("field", ["m", "w", "n"])
+    def test_string_integer_exit_2(self, capsys, tmp_path, field):
+        # "m": "2" used to exit 1 as a memory mismatch, "w": "2" to raise a
+        # TypeError, and "n": "3" to report that 3 differs from 3.
+        value = {"m": "2", "w": "2", "n": "3"}[field]
+        code, out, err = self._run(capsys, tmp_path, **{field: value})
+        self._assert_input_error(code, out, err, field)
+        assert "must be an integer, not string" in err
+
+    def test_string_one_based_exit_2(self, capsys, tmp_path):
+        # "false" is truthy; it used to read the sets as 1-based.
+        code, out, err = self._run(capsys, tmp_path, one_based="false")
+        self._assert_input_error(code, out, err, "one_based")
+        assert "must be true or false, not string" in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("T", [[True, 2], [1, 3]]),
+            ("Z", [[1, 3], [2, True]]),
+            ("pi", [2, True]),
+        ],
+    )
+    def test_boolean_as_integer_exit_2(self, capsys, tmp_path, field, value):
+        code, out, err = self._run(capsys, tmp_path, **{field: value})
+        self._assert_input_error(code, out, err, field)
+
+    def test_null_optional_fields_are_absent(self, capsys, tmp_path):
+        code, out, _ = self._run(capsys, tmp_path, n=None, m=None, w=None)
+        assert code == 0
+        assert "verdict: PASS" in out
+
+
+class TestInternalErrors:
+    """A broken library invariant exits 3 with one line, not a traceback."""
+
+    def test_contradicted_certificate_exit_3(self, capsys, monkeypatch, example_input):
+        def contradicted(x):
+            raise RuntimeError("distance certificate contradicted: test")
+
+        monkeypatch.setattr(cli, "certify_dfree", contradicted)
+        code, out, err = run_cli(capsys, "verify", "--input", example_input)
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: distance certificate contradicted: test\n"
+
+    def test_inconsistent_catalogue_exit_3(self, capsys, monkeypatch):
+        def inconsistent():
+            raise AssertionError("table 1 row 1: stored m=2 does not match")
+
+        monkeypatch.setattr(cli, "validate_tables", inconsistent)
+        code, out, err = run_cli(capsys, "tables")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: table 1 row 1: stored m=2 does not match\n"
+
+
 class TestDistance:
     def test_running_example(self, capsys, example_input):
         code, out, _ = run_cli(capsys, "distance", "--input", example_input)
@@ -240,6 +324,16 @@ class TestDistance:
         # impulse gives 1 + wt(1+D+D^2) = 4; no input beats it since
         # wt(u) + wt(g u) stays >= 4 for every nonzero u (parity at D=1)
         assert payload["d_free"] == 4
+
+    @pytest.mark.parametrize(
+        "case", DISTANCE_CASES, ids=[case["name"] for case in DISTANCE_CASES]
+    )
+    def test_output_matches_recording(self, capsys, tmp_path, case):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(case["input"]))
+        code, out, err = run_cli(capsys, *case["argv"], "--input", str(path))
+        assert (code, err) == (case["exit"], "")
+        assert out == case["stdout"]
 
 
 class TestTables:

@@ -16,6 +16,7 @@ from qccdts import (
     column_distance,
     dfree_exact,
     dfree_upper,
+    is_csoc,
     memory,
     parity_supports,
     search_strong_dts,
@@ -48,6 +49,53 @@ def _column_distance_bruteforce(x: PolyMatrix, j: int) -> int:
             weight += p
         best = weight if best is None else min(best, weight)
     return best
+
+
+def _dfree_bruteforce(x: PolyMatrix, length: int) -> int | None:
+    """Weight of the lightest codeword spanning at most ``length`` frames.
+
+    Enumerates every information sequence of at most ``length`` frames
+    with a nonzero first frame whose last mu frames are zero, so that the
+    encoder has flushed and the parity tail lies inside the span. Weight is
+    the information weight plus the parity bits of the span. None when no
+    span fits. Independent of the search implementation.
+    """
+    supports = parity_supports(x)
+    streams = len(supports)
+    mu = memory(x)
+    best = None
+    for span in range(mu + 1, length + 1):
+        free = span - mu  # frames that may carry information
+        assert free * streams <= 12, "oracle only meant for short spans"
+        for bits in itertools.product((0, 1), repeat=free * streams):
+            u = [bits[t * streams : (t + 1) * streams] for t in range(free)]
+            if not any(u[0]):
+                continue
+            weight = sum(bits)
+            for t in range(span):
+                p = 0
+                for i, sup in enumerate(supports):
+                    for ell in sup:
+                        if 0 <= t - ell < free:
+                            p ^= u[t - ell][i]
+                weight += p
+            best = weight if best is None else min(best, weight)
+    return best
+
+
+def _within(weight: int | None, budget: int) -> int | None:
+    return weight if weight is not None and weight <= budget else None
+
+
+def _random_row(rng: random.Random, streams: int, mu: int) -> PolyMatrix:
+    """Random parity row of exactly this memory; differences may repeat."""
+    supports = [
+        sorted(set(rng.sample(range(mu + 1), rng.randint(1, min(3, mu + 1)))))
+        for _ in range(streams)
+    ]
+    k = rng.randrange(streams)
+    supports[k] = sorted(set(supports[k]) | {mu})
+    return PolyMatrix.from_supports([supports + [(0,)]])
 
 
 def _verify_witness(x: PolyMatrix, witness, expected_weight: int) -> None:
@@ -104,6 +152,19 @@ class TestColumnDistance:
         for fam in rng.sample(fams, 12):
             x = build_systematic_x(fam)
             for j in range(0, 3):
+                assert column_distance(x, j) == _column_distance_bruteforce(x, j)
+
+    def test_matches_bruteforce_on_random_rows(self):
+        rng = random.Random(41)
+        rows = [
+            _random_row(rng, streams, rng.randint(0, 6))
+            for streams in (rng.randint(1, 4) for _ in range(60))
+        ]
+        rows += [PolyMatrix.from_supports([[(0,)] * (r + 1)]) for r in range(1, 5)]
+        assert sum(not is_csoc(x).ok for x in rows) >= 10
+        assert sum(memory(x) == 0 for x in rows) >= 4
+        for x in rows:
+            for j in range(11 // (x.ncols - 1)):
                 assert column_distance(x, j) == _column_distance_bruteforce(x, j)
 
     def test_window_guard(self, example_x):
@@ -171,6 +232,39 @@ class TestDfreeExact:
         x = build_systematic_x(fam)
         permuted = PolyMatrix.from_supports([[(0, 5), (0, 1), (0, 2), (0,)]])
         assert dfree_exact(x, budget=4) == dfree_exact(permuted, budget=4)
+
+    def test_matches_bruteforce_with_horizon(self):
+        rng = random.Random(43)
+        non_csoc = 0
+        for _ in range(40):
+            streams = rng.randint(1, 3)
+            mu = rng.randint(0, 4)
+            x = _random_row(rng, streams, mu)
+            non_csoc += not is_csoc(x).ok
+            for horizon in range(1, mu + 1 + 10 // streams):
+                lightest = _dfree_bruteforce(x, horizon)
+                for budget in range(1, 6):
+                    assert dfree_exact(x, budget, horizon) == _within(
+                        lightest, budget
+                    ), (parity_supports(x), budget, horizon)
+        assert non_csoc >= 10
+
+    def test_matches_bruteforce_at_default_horizon(self):
+        # The default horizon budget * (mu + 1) must lose no codeword
+        # within budget: compare with every span up to it.
+        rng = random.Random(47)
+        for _ in range(30):
+            streams = rng.randint(1, 2)
+            mu = rng.randint(0, 2)
+            x = _random_row(rng, streams, mu)
+            for budget in range(1, 6):
+                if (budget * (mu + 1) - mu) * streams > 12:
+                    break
+                lightest = _dfree_bruteforce(x, budget * (mu + 1))
+                assert dfree_exact(x, budget) == _within(lightest, budget), (
+                    parity_supports(x),
+                    budget,
+                )
 
     def test_agrees_with_weight_plus_one_on_strong_families(self):
         for r, w in ((1, 2), (2, 2), (1, 3), (2, 3)):
