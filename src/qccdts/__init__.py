@@ -9,15 +9,11 @@ self-orthogonality, memory, symplectic commutation and free distance.
 __version__ = "0.1.0"
 
 from .csoc import (
-    CodeParams,
     CsocReport,
     DifferenceCollision,
     NonStrongFamilyWarning,
     block_toeplitz,
-    build_parity_check,
     build_systematic_x,
-    code_params,
-    constraint_length,
     is_csoc,
     memory,
     parity_supports,
@@ -35,7 +31,6 @@ from .dts import (
     DtsFamily,
     SupportSet,
     classify,
-    family_from_json,
     from_one_based,
     normalize,
     positive_differences,
@@ -58,16 +53,10 @@ from .gf2poly import (
     substitute_inverse,
 )
 from .reflect import (
-    CertificationFlags,
-    PreservationReport,
-    QccParams,
-    StabilizerPair,
+    VerifyReport,
     build_z,
-    certify,
-    check_preservation,
-    pair_from_family,
-    qcc_params,
     reflect_family,
+    verify_pair,
 )
 from .symplectic import (
     ReflectionSymmetryReport,
@@ -80,9 +69,7 @@ from .symplectic import (
 from .tables import TABLE_ROWS, TableRow, rows_for, validate_tables
 
 __all__ = [
-    "CodeParams",
     "CsocReport",
-    "CertificationFlags",
     "D",
     "DifferenceCollision",
     "DistanceCertificate",
@@ -94,38 +81,29 @@ __all__ = [
     "NonStrongFamilyWarning",
     "ONE",
     "PolyMatrix",
-    "PreservationReport",
-    "QccParams",
     "ReflectionSymmetryReport",
-    "StabilizerPair",
     "SupportSet",
     "SymplecticReport",
     "TABLE_ROWS",
     "TableRow",
+    "VerifyReport",
     "ZERO",
     "block_toeplitz",
-    "build_parity_check",
     "build_systematic_x",
     "build_z",
-    "certify",
     "certify_dfree",
-    "check_preservation",
     "check_reflection_symmetry",
     "classify",
-    "code_params",
     "coefficient_matrix",
     "column_distance",
-    "constraint_length",
     "dfree_exact",
     "dfree_upper",
-    "family_from_json",
     "from_one_based",
     "is_commuting",
     "is_csoc",
     "mat_mul_transpose",
     "memory",
     "normalize",
-    "pair_from_family",
     "parity_supports",
     "parse_poly",
     "parse_poly_row",
@@ -133,7 +111,6 @@ __all__ = [
     "poly_mul",
     "poly_reverse",
     "positive_differences",
-    "qcc_params",
     "reflect_family",
     "rows_for",
     "search_strong_dts",
@@ -141,4 +118,5 @@ __all__ = [
     "sum_index_matrix",
     "symplectic_sum",
     "validate_tables",
+    "verify_pair",
 ]

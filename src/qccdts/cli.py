@@ -31,13 +31,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import __version__
-from .csoc import (
-    NonStrongFamilyWarning,
-    build_systematic_x,
-    is_csoc,
-    memory,
-    parity_supports,
-)
+from .csoc import NonStrongFamilyWarning, build_systematic_x, is_csoc, memory
 from .distance import (
     MAX_EXACT_BUDGET,
     MAX_EXACT_MEMORY,
@@ -49,11 +43,17 @@ from .distance import (
 )
 from .dts import DtsClass, DtsFamily, as_support, classify, from_one_based, search_strong_dts
 from .gf2poly import PolyMatrix
-from .reflect import build_z, identity_permutation, reflect_family
-from .symplectic import check_reflection_symmetry, is_commuting
-from .tables import TableRow, rows_for, validate_tables
+from .reflect import build_z, identity_permutation, reflect_family, verify_pair
+from .tables import rows_for, validate_tables
 
 SEARCH_GUARDS = {"r": 5, "w": 5, "max_scope": 40}
+
+# The checks `tables` prints for each row: the shared pair checks plus
+# reflect_match, whether the reflected X family is the catalogue's Z.
+TABLE_CHECKS = (
+    "strong_dts", "memory", "reflect_match", "csoc_x", "csoc_z",
+    "commuting", "a7_symmetry", "dfree",
+)
 
 
 class CliInputError(Exception):
@@ -182,87 +182,6 @@ def _pair_from_input(code: CodeInput) -> tuple[PolyMatrix, PolyMatrix, list[str]
     return x, z, notes
 
 
-def run_pair_verification(
-    x: PolyMatrix,
-    z: PolyMatrix,
-    expected_m: int | None = None,
-    expected_w: int | None = None,
-) -> dict:
-    """The full verification suite on a pair; serializable report."""
-    violations: list[dict] = []
-
-    fam = classify(list(parity_supports(x)))
-    strong = fam.classification >= DtsClass.STRONG
-    if not strong:
-        violations.append(
-            {
-                "check": "strong_dts",
-                "detail": f"X family classifies as {fam.classification}",
-            }
-        )
-
-    rep_x = is_csoc(x)
-    rep_z = is_csoc(z)
-    for name, rep in (("csoc_x", rep_x), ("csoc_z", rep_z)):
-        for coll in rep.collisions:
-            violations.append({"check": name, "detail": str(coll)})
-
-    mu_x, mu_z = memory(x), memory(z)
-    if mu_x != mu_z:
-        violations.append(
-            {"check": "memory", "detail": f"memory differs: X={mu_x}, Z={mu_z}"}
-        )
-    if expected_m is not None and mu_x != expected_m:
-        violations.append(
-            {
-                "check": "memory",
-                "detail": f"memory {mu_x} does not match declared m={expected_m}",
-            }
-        )
-
-    comm = is_commuting(x, z)
-    for s, i, j in comm.violations:
-        violations.append(
-            {
-                "check": "commutation",
-                "detail": f"coefficient of D^{s} at entry ({i},{j}) is 1",
-            }
-        )
-
-    sym = check_reflection_symmetry(x)
-    if not sym.ok:
-        s, a, b = sym.counterexample
-        violations.append(
-            {
-                "check": "a7_symmetry",
-                "detail": f"C_{s}[{a},{b}] differs from C_{2 * mu_x - s}[{b},{a}]",
-            }
-        )
-
-    d_free = None
-    if rep_x.ok:
-        cert = certify_dfree(x)
-        d_free = cert.d_free
-        if expected_w is not None and d_free != expected_w + 1:
-            violations.append(
-                {
-                    "check": "dfree",
-                    "detail": f"d_free {d_free} does not match declared w+1",
-                }
-            )
-
-    return {
-        "commuting": comm.commuting,
-        "csoc_x": rep_x.ok,
-        "csoc_z": rep_z.ok,
-        "strong_dts": strong,
-        "memory": {"x": mu_x, "z": mu_z, "equal": mu_x == mu_z},
-        "a7_symmetry": sym.ok,
-        "d_free": d_free,
-        "violations": violations,
-    }
-
-
 def _family_as_one_based(family: DtsFamily) -> list[list[int]]:
     return [[e + 1 for e in s.elements] for s in family.sets]
 
@@ -330,27 +249,39 @@ def cmd_reflect(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     code = load_code_input(args.input, args.one_based)
     x, z, notes = _pair_from_input(code)
-    report = run_pair_verification(
-        x, z, expected_m=code.expected_m, expected_w=code.expected_w
+    report = verify_pair(
+        x, z, expect_m=code.expected_m, expect_w=code.expected_w
     )
-    report["warnings"] = notes
-    ok = not report["violations"]
+    checks = report.checks
+    mu_x, mu_z = report.memory_x, report.memory_z
+    d_free = report.certificate.d_free if report.certificate is not None else None
+    ok = not report.violations
     if args.json:
-        print(json.dumps(report))
+        payload = {
+            "commuting": checks["commuting"],
+            "csoc_x": checks["csoc_x"],
+            "csoc_z": checks["csoc_z"],
+            "strong_dts": checks["strong_dts"],
+            "memory": {"x": mu_x, "z": mu_z, "equal": mu_x == mu_z},
+            "a7_symmetry": checks["a7_symmetry"],
+            "d_free": d_free,
+            "violations": [
+                {"check": check, "detail": detail}
+                for check, detail in report.violations
+            ],
+            "warnings": notes,
+        }
+        print(json.dumps(payload))
     else:
         for note in notes:
             print(f"warning: {note}")
         for key in ("strong_dts", "csoc_x", "csoc_z", "commuting", "a7_symmetry"):
-            print(f"{key}: {'ok' if report[key] else 'FAIL'}")
-        mem = report["memory"]
-        print(
-            f"memory: X={mem['x']} Z={mem['z']} "
-            f"{'ok' if mem['equal'] else 'FAIL'}"
-        )
-        if report["d_free"] is not None:
-            print(f"d_free: {report['d_free']}")
-        for v in report["violations"]:
-            print(f"violation [{v['check']}]: {v['detail']}")
+            print(f"{key}: {'ok' if checks[key] else 'FAIL'}")
+        print(f"memory: X={mu_x} Z={mu_z} {'ok' if mu_x == mu_z else 'FAIL'}")
+        if d_free is not None:
+            print(f"d_free: {d_free}")
+        for check, detail in report.violations:
+            print(f"violation [{check}]: {detail}")
         print("verdict: " + ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
 
@@ -414,30 +345,6 @@ def cmd_distance(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_table_row(row: TableRow) -> dict:
-    fam_x = classify([from_one_based(s) for s in row.t_sets])
-    checks: dict[str, bool] = {}
-    checks["strong_dts"] = fam_x.classification >= DtsClass.STRONG
-
-    x, _ = _systematic_from_family(fam_x)
-    checks["memory"] = memory(x) == row.m
-
-    reflected = reflect_family(fam_x)
-    checks["reflect_match"] = sorted(
-        s.elements for s in reflected.sets
-    ) == sorted(row.g_z)
-
-    z = PolyMatrix.from_supports([list(row.g_z) + [(0,)]])
-    checks["csoc_x"] = is_csoc(x).ok
-    checks["csoc_z"] = is_csoc(z).ok
-    checks["commuting"] = is_commuting(x, z).commuting
-    checks["a7_symmetry"] = check_reflection_symmetry(x).ok
-    checks["dfree"] = (
-        checks["csoc_x"] and certify_dfree(x).d_free == row.w + 1
-    )
-    return checks
-
-
 def _format_sets(sets) -> str:
     return "; ".join("{" + ", ".join(str(e) for e in s) + "}" for s in sets)
 
@@ -450,12 +357,19 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
     results = []
     for row in rows:
-        checks = _check_table_row(row)
-        results.append((row, checks))
+        family = classify([from_one_based(s) for s in row.t_sets])
+        x, _ = _systematic_from_family(family)
+        z = PolyMatrix.from_supports([list(row.g_z) + [(0,)]])
+        checks = verify_pair(x, z, expect_m=row.m, expect_w=row.w).checks
+        reflected = reflect_family(family)
+        checks["reflect_match"] = sorted(
+            s.elements for s in reflected.sets
+        ) == sorted(row.g_z)
+        results.append((row, x, z, {name: checks[name] for name in TABLE_CHECKS}))
 
     failed = [
         (row, [k for k, ok in checks.items() if not ok])
-        for row, checks in results
+        for row, _, _, checks in results
         if not all(checks.values())
     ]
 
@@ -475,7 +389,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
                     "checks": checks,
                     "pass": all(checks.values()),
                 }
-                for row, checks in results
+                for row, _, _, checks in results
             ],
             "passed": len(results) - len(failed),
             "failed": len(failed),
@@ -483,7 +397,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
         print(json.dumps(payload))
     else:
         current_table = None
-        for row, checks in results:
+        for row, x, z, checks in results:
             if row.table_id != current_table:
                 current_table = row.table_id
                 print(f"Table {row.table_id} (rate {row.rate_label})")
@@ -497,9 +411,6 @@ def cmd_tables(args: argparse.Namespace) -> int:
                 f"  g: {_format_sets(row.g_z)}"
             )
             if args.row is not None:
-                fam_x = classify([from_one_based(s) for s in row.t_sets])
-                x, _ = _systematic_from_family(fam_x)
-                z = PolyMatrix.from_supports([list(row.g_z) + [(0,)]])
                 print(f"         X(D) = {x}")
                 print(f"         Z(D) = {z}")
             verdict = "PASS" if all(checks.values()) else "FAIL"

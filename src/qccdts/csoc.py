@@ -1,11 +1,9 @@
 """Convolutional parity-check construction from DTS supports.
 
-The systematic specialization is the workhorse: a family of n-1 support
-sets becomes the single parity row X(D) = [x_1(D), ..., x_{n-1}(D), 1],
-where x_i carries the i-th set as its exponent support and the constant
-last entry is the systematic (identity) column. The general row/column
-construction is also provided but is exercised only by the systematic
-path; treat it as experimental.
+A family of n-1 support sets becomes the systematic single parity row
+X(D) = [x_1(D), ..., x_{n-1}(D), 1], where x_i carries the i-th set as
+its exponent support and the constant last entry is the systematic
+(identity) column.
 """
 
 from __future__ import annotations
@@ -13,27 +11,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .dts import DtsClass, DtsFamily, SupportLike, as_support, positive_differences
-from .gf2poly import ONE, Gf2Poly, PolyMatrix, coefficient_matrix
+from .dts import DtsClass, DtsFamily, positive_differences
+from .gf2poly import ONE, PolyMatrix, coefficient_matrix
 
 
 class NonStrongFamilyWarning(UserWarning):
     """Construction from a family below STRONG: well-defined, no guarantees."""
-
-
-@dataclass(frozen=True, slots=True)
-class CodeParams:
-    """Classical convolutional code parameters read off a parity check."""
-
-    n: int
-    parity_rows: int
-    mu: int
-    w: int | None
-    nu: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,43 +42,10 @@ class CsocReport:
     collisions: tuple[DifferenceCollision, ...]
 
 
-def build_parity_check(
-    row_sets: Sequence[SupportLike],
-    col_sets: Sequence[SupportLike],
-    n: int,
-) -> PolyMatrix:
-    """General construction: entry (i,j) has support {t-1 : t in T_i & S_j}.
-
-    Row and column sets use the 1-based table convention, so delay t maps
-    to exponent t-1. A row whose set misses every column set would be an
-    all-zero parity equation and is rejected.
-    """
-    if len(col_sets) != n:
-        raise ValueError(f"expected {n} column sets, got {len(col_sets)}")
-    rows = [as_support(t) for t in row_sets]
-    cols = [as_support(s) for s in col_sets]
-    for s in rows + cols:
-        if s.elements[0] < 1:
-            raise ValueError("row/column sets are 1-based; element 0 is invalid")
-
-    grid = []
-    for i, t_row in enumerate(rows):
-        entries = []
-        for s_col in cols:
-            common = sorted(set(t_row.elements) & set(s_col.elements))
-            entries.append(Gf2Poly(tuple(t - 1 for t in common)))
-        if all(p.is_zero() for p in entries):
-            raise ValueError(f"vacuous parity row {i + 1}: no taps survive")
-        grid.append(tuple(entries))
-    return PolyMatrix(tuple(grid))
-
-
 def build_systematic_x(family: DtsFamily) -> PolyMatrix:
     """Systematic 1 x n parity row [x_1, ..., x_{n-1}, 1] from a 0-based family.
 
-    Equivalent to :func:`build_parity_check` with the full 1-based window as
-    the row set, the family members as column sets and {1} as the identity
-    column. Families below STRONG are allowed but warned about.
+    Families below STRONG are allowed but warned about.
     """
     if family.classification < DtsClass.STRONG:
         warnings.warn(
@@ -122,36 +75,16 @@ def parity_supports(x: PolyMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(x.entry(0, j).support for j in range(x.ncols - 1))
 
 
-def memory(h: PolyMatrix, n: int | None = None, k: int | None = None) -> int:
-    """Encoder memory: ceil((max exponent + 1) / (n - k)) - 1.
+def memory(h: PolyMatrix) -> int:
+    """Encoder memory: ceil((max exponent + 1) / r) - 1 for r parity rows.
 
     For the systematic single-parity-row case this is just the maximum
     exponent of the matrix.
     """
     if h.is_zero():
         raise ValueError("memory of the zero matrix is undefined")
-    if n is None:
-        n = h.ncols
-    if k is None:
-        k = n - h.nrows
-    r = n - k
-    if r < 1:
-        raise ValueError(f"n - k must be positive, got {r}")
     one_based_scope = int(h.max_degree) + 1
-    return math.ceil(one_based_scope / r) - 1
-
-
-def constraint_length(h: PolyMatrix) -> int:
-    """Sum over parity rows of the row's maximum entry degree."""
-    if h.is_zero():
-        raise ValueError("constraint length of the zero matrix is undefined")
-    total = 0
-    for row in h.entries:
-        deg = max(p.degree for p in row)
-        if deg == float("-inf"):
-            raise ValueError("all-zero parity row has no degree")
-        total += int(deg)
-    return total
+    return math.ceil(one_based_scope / h.nrows) - 1
 
 
 def is_csoc(x: PolyMatrix) -> CsocReport:
@@ -201,15 +134,3 @@ def block_toeplitz(h: PolyMatrix, j: int) -> np.ndarray:
             u = t - ell
             out[t * r : (t + 1) * r, u * n : (u + 1) * n] = blocks[ell]
     return out
-
-
-def code_params(x: PolyMatrix) -> CodeParams:
-    """Read n, parity rows, memory, entry weight and constraint length."""
-    weights = {len(sup) for sup in parity_supports(x)}
-    return CodeParams(
-        n=x.ncols,
-        parity_rows=x.nrows,
-        mu=memory(x),
-        w=weights.pop() if len(weights) == 1 else None,
-        nu=constraint_length(x),
-    )

@@ -199,16 +199,6 @@ def classify(sets: Iterable[SupportLike], budget: int | None = None) -> DtsFamil
     return DtsFamily(members, DtsClass.STRONG, m)
 
 
-def family_from_json(payload: dict) -> DtsFamily:
-    """Load a family from its JSON form ({"one_based": bool, "sets": [...]})."""
-    raw = payload["sets"]
-    if payload.get("one_based", False):
-        members = [from_one_based(s) for s in raw]
-    else:
-        members = [as_support(s) for s in raw]
-    return classify(members)
-
-
 def _wdts_candidates(w: int, max_scope: int) -> list[tuple[SupportSet, int]]:
     """Every normalized w-set with scope <= max_scope and distinct differences.
 

@@ -11,19 +11,22 @@ sum Q(D) = sum_k x_k(D) x_{pi(k)}(D) is palindromic on [0, 2M]. Any
 involution whose fixed entries are themselves palindromic (reflection-
 invariant) satisfies this; an arbitrary pi does not. ``build_z`` accepts
 any permutation and leaves the judgement to the commutation check.
+
+``verify_pair`` is the one verification pipeline: it runs every check on
+a pair and returns the verdicts, the violations behind them and the
+distance certificate, which the ``verify`` and ``tables`` commands render.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import distance as distance_mod
-from . import symplectic as symplectic_mod
-from .csoc import build_systematic_x, is_csoc, memory, parity_supports, require_systematic
-from .dts import DtsClass, DtsFamily, classify, positive_differences
+from .csoc import is_csoc, memory, parity_supports, require_systematic
+from .distance import DistanceCertificate, certify_dfree
+from .dts import DtsClass, DtsFamily, classify
 from .gf2poly import ONE, PolyMatrix
+from .symplectic import check_reflection_symmetry, is_commuting
 
 
 def reflect_family(family: DtsFamily, window: int | None = None) -> DtsFamily:
@@ -79,135 +82,90 @@ def build_z(x: PolyMatrix, pi: Sequence[int] | None = None) -> PolyMatrix:
 
 
 @dataclass(frozen=True, slots=True)
-class PreservationReport:
-    """Which of the reflection-preservation claims hold for a pair."""
+class VerifyReport:
+    """Every check on a stabilizer pair, in the order they run.
 
-    spectrum_match: bool
-    memory_match: bool
-    weight_match: bool
+    ``checks`` maps strong_dts, csoc_x, csoc_z, memory, commuting,
+    a7_symmetry and dfree to their verdicts; ``violations`` lists the
+    (check, detail) pairs behind the failures, and is empty exactly when
+    every check passes. ``dfree`` also fails when X is not CSOC, with no
+    violation of its own: the csoc_x collisions already say why.
+    ``certificate`` is None exactly then.
+    """
+
+    checks: dict[str, bool]
+    violations: tuple[tuple[str, str], ...]
     memory_x: int
     memory_z: int
-    common_weight: int | None
-
-    @property
-    def ok(self) -> bool:
-        return self.spectrum_match and self.memory_match and self.weight_match
+    certificate: DistanceCertificate | None
 
 
-def check_preservation(x: PolyMatrix, z: PolyMatrix) -> PreservationReport:
-    """Compare difference spectra, memory and entry weights of X and Z.
+def verify_pair(
+    x: PolyMatrix,
+    z: PolyMatrix,
+    *,
+    expect_m: int | None = None,
+    expect_w: int | None = None,
+) -> VerifyReport:
+    """Run the whole verification suite on a systematic pair (X, Z).
 
-    The spectrum comparison is as a multiset of per-entry difference
-    multisets, so any entry permutation is tolerated. Equal weights mean
-    both sides carry the same dual-distance certificate w + 1.
+    X must come from a strong family, both rows must be CSOC, their
+    memories must agree (and equal ``expect_m`` when given), the pair must
+    commute, X must satisfy the A7 sum-index identity, and when X is CSOC
+    its certified free distance must be ``expect_w + 1`` when given.
     """
-    sup_x = parity_supports(x)
-    sup_z = parity_supports(z)
-    spec_x = sorted(positive_differences(s) if s else () for s in sup_x)
-    spec_z = sorted(positive_differences(s) if s else () for s in sup_z)
+    violations: list[tuple[str, str]] = []
+
+    family = classify(list(parity_supports(x)))
+    strong = family.classification >= DtsClass.STRONG
+    if not strong:
+        violations.append(
+            ("strong_dts", f"X family classifies as {family.classification}")
+        )
+
+    csoc_x, csoc_z = is_csoc(x), is_csoc(z)
+    for name, rep in (("csoc_x", csoc_x), ("csoc_z", csoc_z)):
+        violations.extend((name, str(coll)) for coll in rep.collisions)
+
     mu_x, mu_z = memory(x), memory(z)
-    weights_x = sorted(len(s) for s in sup_x)
-    weights_z = sorted(len(s) for s in sup_z)
-    uniform = set(weights_x) | set(weights_z)
-    return PreservationReport(
-        spectrum_match=spec_x == spec_z,
-        memory_match=mu_x == mu_z,
-        weight_match=weights_x == weights_z,
+    if mu_x != mu_z:
+        violations.append(("memory", f"memory differs: X={mu_x}, Z={mu_z}"))
+    declared_m = expect_m is None or mu_x == expect_m
+    if not declared_m:
+        violations.append(
+            ("memory", f"memory {mu_x} does not match declared m={expect_m}")
+        )
+
+    comm = is_commuting(x, z)
+    violations.extend(
+        ("commutation", f"coefficient of D^{s} at entry ({i},{j}) is 1")
+        for s, i, j in comm.violations
+    )
+
+    sym = check_reflection_symmetry(x)
+    if not sym.ok:
+        s, a, b = sym.counterexample
+        violations.append(
+            ("a7_symmetry", f"C_{s}[{a},{b}] differs from C_{2 * mu_x - s}[{b},{a}]")
+        )
+
+    cert = certify_dfree(x) if csoc_x.ok else None
+    dfree = cert is not None and (expect_w is None or cert.d_free == expect_w + 1)
+    if cert is not None and not dfree:
+        violations.append(("dfree", f"d_free {cert.d_free} does not match declared w+1"))
+
+    return VerifyReport(
+        checks={
+            "strong_dts": strong,
+            "csoc_x": csoc_x.ok,
+            "csoc_z": csoc_z.ok,
+            "memory": mu_x == mu_z and declared_m,
+            "commuting": comm.commuting,
+            "a7_symmetry": sym.ok,
+            "dfree": dfree,
+        },
+        violations=tuple(violations),
         memory_x=mu_x,
         memory_z=mu_z,
-        common_weight=uniform.pop() if len(uniform) == 1 else None,
-    )
-
-
-@dataclass(frozen=True, slots=True)
-class CertificationFlags:
-    """Cached certification results; None means not yet checked."""
-
-    strong_dts: bool | None = None
-    csoc_x: bool | None = None
-    csoc_z: bool | None = None
-    commuting: bool | None = None
-    dfree: bool | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class StabilizerPair:
-    """A stabilizer pair (X(D), Z(D)) plus construction metadata."""
-
-    n: int
-    x: PolyMatrix
-    z: PolyMatrix
-    degree_bound: int
-    w: int | None
-    pi: tuple[int, ...]
-    certified: CertificationFlags = CertificationFlags()
-
-
-def pair_from_family(
-    family: DtsFamily, pi: Sequence[int] | None = None
-) -> StabilizerPair:
-    """Build the (X, Z) pair for a family; certification flags start empty."""
-    x = build_systematic_x(family)
-    z = build_z(x, pi)
-    streams = x.ncols - 1
-    return StabilizerPair(
-        n=x.ncols,
-        x=x,
-        z=z,
-        degree_bound=memory(x),
-        w=family.weight,
-        pi=identity_permutation(streams) if pi is None else tuple(pi),
-    )
-
-
-def certify(pair: StabilizerPair) -> StabilizerPair:
-    """Run every certification check and cache the outcomes on the pair."""
-    fam_x = classify(list(parity_supports(pair.x)))
-    csoc_x = is_csoc(pair.x).ok
-    csoc_z = is_csoc(pair.z).ok
-    commuting = symplectic_mod.is_commuting(pair.x, pair.z).commuting
-
-    dfree_ok: bool | None = None
-    if csoc_x and csoc_z:
-        cert_x = distance_mod.certify_dfree(pair.x)
-        cert_z = distance_mod.certify_dfree(pair.z)
-        dfree_ok = cert_x.d_free == cert_z.d_free
-
-    return dataclasses.replace(
-        pair,
-        certified=CertificationFlags(
-            strong_dts=fam_x.classification >= DtsClass.STRONG,
-            csoc_x=csoc_x,
-            csoc_z=csoc_z,
-            commuting=commuting,
-            dfree=dfree_ok,
-        ),
-    )
-
-
-@dataclass(frozen=True, slots=True)
-class QccParams:
-    """Quantum code parameters; the rate is kept unreduced (e.g. 2/4)."""
-
-    n: int
-    r_x: int
-    r_z: int
-    rate_numerator: int
-    rate_denominator: int
-
-    @property
-    def rate_label(self) -> str:
-        return f"{self.rate_numerator}/{self.rate_denominator}"
-
-
-def qcc_params(pair: StabilizerPair) -> QccParams:
-    """Report parameters of a certified pair; refuses non-commuting pairs."""
-    if pair.certified.commuting is not True:
-        raise ValueError("cannot report parameters for non-commuting pair")
-    r_x, r_z = pair.x.nrows, pair.z.nrows
-    num = pair.n - r_x - r_z
-    if num < 0:
-        raise ValueError("more stabilizer rows than qubits per frame")
-    return QccParams(
-        n=pair.n, r_x=r_x, r_z=r_z, rate_numerator=num, rate_denominator=pair.n
+        certificate=cert,
     )

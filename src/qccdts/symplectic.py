@@ -11,6 +11,15 @@ behind the commutation condition for reflected pairs.
 per-delay column-occupancy parities form a palindrome over [0, M]; many
 self-orthogonal rows do not satisfy it, so a False result here does not
 contradict commutation of a properly permuted pair.
+
+Following the entry permutation pi adds nothing to that identity. For
+one systematic row and Z = build_z(X, pi), the symplectic sum is
+S(D) = D^-M (Q_pi(D) + D^2M Q_pi(D^-1)) with Q_pi = sum_k x_k x_pi(k);
+the systematic column cancels in S, while C_s counts it as a 1 at s = 0.
+Counting tap pairs (t, u) in L_k x L_pi(k) with t + u = s over the parity
+columns gives the coefficients of Q_pi, so a pi-aware identity
+C^pi_s = C^pi_{2M-s} says Q_pi is palindromic on [0, 2M]: exactly the
+commutation check, with no further content.
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from qccdts import cli, parse_poly_row
+from qccdts import cli, parse_poly_row, reflect
 from qccdts.cli import main
 
 # `qccdts distance --json` on the 14 catalogue rows and on three colliding
@@ -16,6 +17,17 @@ from qccdts.cli import main
 # the argv without --input, the exit code and the exact stdout.
 DISTANCE_CASES = json.loads(
     (pathlib.Path(__file__).parent / "data" / "distance_cli.json").read_text()
+)
+
+# `qccdts verify` (text and --json) on every catalogue row three ways
+# (explicit Z, m and w; X only; reversed pi with wrong m and w), on
+# colliding, non-strong and random families, some with a wrong explicit Z
+# or a Z of another memory, and `qccdts tables` (text and --json) under
+# every --table and --row filter, recorded before the verification
+# pipeline became one library function. Each case holds the input JSON
+# (verify only), the argv without --input, the exit code, stdout and stderr.
+VERIFY_TABLES_CASES = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "verify_tables_cli.json").read_text()
 )
 
 
@@ -281,7 +293,7 @@ class TestInternalErrors:
         def contradicted(x):
             raise RuntimeError("distance certificate contradicted: test")
 
-        monkeypatch.setattr(cli, "certify_dfree", contradicted)
+        monkeypatch.setattr(reflect, "certify_dfree", contradicted)
         code, out, err = run_cli(capsys, "verify", "--input", example_input)
         assert code == 3
         assert out == ""
@@ -386,6 +398,20 @@ class TestTables:
         assert first == second
 
 
+@pytest.mark.parametrize(
+    "case", VERIFY_TABLES_CASES, ids=[case["name"] for case in VERIFY_TABLES_CASES]
+)
+def test_verify_and_tables_match_recording(capsys, tmp_path, case):
+    argv = list(case["argv"])
+    if "input" in case:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(case["input"]))
+        argv += ["--input", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (case["exit"], case["stderr"])
+    assert out == case["stdout"]
+
+
 class TestSearch:
     def test_includes_running_example(self, capsys):
         code, out, _ = run_cli(capsys, "search", "2", "2", "2")
@@ -452,11 +478,20 @@ class TestSearch:
         assert "integer" in err
 
 
+def _child_env() -> dict[str, str]:
+    """The environment with the qccdts under test first on PYTHONPATH, so a
+    child interpreter imports it whether or not the package is installed."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qccdts.cli", "search", "2", "2", "2"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert '"sets": [[0, 1], [0, 2]]' in proc.stdout
@@ -467,6 +502,7 @@ def test_broken_pipe_exits_quietly():
         [sys.executable, "-m", "qccdts.cli", "search", "3", "3", "20"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=_child_env(),
     )
     first = proc.stdout.readline()
     proc.stdout.close()

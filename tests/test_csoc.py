@@ -10,44 +10,15 @@ from qccdts import (
     NonStrongFamilyWarning,
     PolyMatrix,
     block_toeplitz,
-    build_parity_check,
     build_systematic_x,
     classify,
-    code_params,
     coefficient_matrix,
-    constraint_length,
     is_csoc,
     memory,
     parity_supports,
     search_strong_dts,
 )
 from qccdts.tables import TABLE_ROWS
-
-
-class TestBuildParityCheck:
-    def test_running_example(self):
-        h = build_parity_check([(1, 2, 3)], [(1, 2), (1, 3), (1,)], n=3)
-        assert str(h) == "(1+D, 1+D^2, 1)"
-
-    def test_single_tap(self):
-        h = build_parity_check([(1,)], [(1,), (1,)], n=2)
-        assert str(h) == "(1, 1)"
-
-    def test_shifted_columns(self):
-        h = build_parity_check([(1, 2, 3)], [(2, 3), (1, 3), (1,)], n=3)
-        assert str(h) == "(D+D^2, 1+D^2, 1)"
-
-    def test_vacuous_row_rejected(self):
-        with pytest.raises(ValueError, match="vacuous parity row"):
-            build_parity_check([(4,)], [(1, 2), (1, 3), (1,)], n=3)
-
-    def test_column_count_checked(self):
-        with pytest.raises(ValueError, match="column sets"):
-            build_parity_check([(1, 2)], [(1, 2), (1,)], n=3)
-
-    def test_one_based_enforced(self):
-        with pytest.raises(ValueError, match="1-based"):
-            build_parity_check([(0, 1)], [(1,), (1,)], n=2)
 
 
 class TestBuildSystematicX:
@@ -72,16 +43,6 @@ class TestBuildSystematicX:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             build_systematic_x(example_family)
-
-    def test_matches_general_construction(self, example_family):
-        # Full 1-based window as row set, member sets as columns, {1} last.
-        x = build_systematic_x(example_family)
-        scope = example_family.scope
-        row = tuple(range(1, scope + 2))
-        cols = [
-            tuple(e + 1 for e in s.elements) for s in example_family.sets
-        ] + [(1,)]
-        assert build_parity_check([row], cols, n=3) == x
 
     def test_supports_read_back(self):
         fam = classify([(0, 1, 3), (0, 4, 9)])
@@ -114,20 +75,6 @@ class TestMemory:
     def test_equals_scope_for_search_families(self):
         for fam in search_strong_dts(2, 3, 8):
             assert memory(build_systematic_x(fam)) == fam.scope
-
-
-class TestConstraintLength:
-    def test_single_row(self, example_x):
-        assert constraint_length(example_x) == 2
-
-    def test_memoryless(self):
-        assert constraint_length(PolyMatrix.from_supports([[(0,), (0,)]])) == 0
-
-    def test_stacked_rows(self):
-        h = PolyMatrix.from_supports(
-            [[(0, 2), (0,), (0,)], [(0,), (0, 3), (0,)]]
-        )
-        assert constraint_length(h) == 5
 
 
 class TestIsCsoc:
@@ -222,19 +169,6 @@ class TestBlockToeplitz:
             )
             annihilated = not (mat @ stacked % 2).any()
             assert annihilated == recursion_holds(window)
-
-
-class TestCodeParams:
-    def test_running_example(self, example_x):
-        params = code_params(example_x)
-        assert (params.n, params.parity_rows) == (3, 1)
-        assert params.mu == 2
-        assert params.w == 2
-        assert params.nu == 2
-
-    def test_mixed_weights_reported_none(self):
-        x = PolyMatrix.from_supports([[(0, 1), (0, 2, 5), (0,)]])
-        assert code_params(x).w is None
 
 
 def test_non_strong_family_still_builds():

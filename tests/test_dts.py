@@ -12,7 +12,6 @@ from qccdts import (
     DtsClass,
     SupportSet,
     classify,
-    family_from_json,
     from_one_based,
     normalize,
     positive_differences,
@@ -230,18 +229,6 @@ def test_search_matches_brute_force(r, w, scope):
         for fam in search_strong_dts(r, w, scope)
     ]
     assert found == _brute_force_strong(r, w, scope)
-
-
-class TestJsonRoundTrip:
-    def test_zero_based(self):
-        fam = classify([(0, 1), (0, 2)])
-        again = family_from_json(fam.to_json())
-        assert again.sets == fam.sets
-        assert again.classification == fam.classification
-
-    def test_one_based(self):
-        fam = family_from_json({"one_based": True, "sets": [[1, 2], [1, 3]]})
-        assert [s.elements for s in fam.sets] == [(0, 1), (0, 2)]
 
 
 def test_classification_reorder_random():

@@ -8,16 +8,13 @@ from qccdts import (
     PolyMatrix,
     build_systematic_x,
     build_z,
-    certify,
-    check_preservation,
     classify,
     memory,
-    pair_from_family,
     parity_supports,
     positive_differences,
-    qcc_params,
     reflect_family,
     search_strong_dts,
+    verify_pair,
 )
 
 
@@ -99,71 +96,50 @@ class TestBuildZ:
                 assert memory(build_z(x, pi)) == memory(x)
 
 
-class TestCheckPreservation:
-    def test_running_example(self, example_x, example_z_swapped):
-        report = check_preservation(example_x, example_z_swapped)
-        assert report.ok
-        assert report.spectrum_match and report.memory_match and report.weight_match
-        assert report.common_weight == 2
+class TestVerifyPair:
+    def test_swap_pair_passes(self, example_x, example_z_swapped):
+        report = verify_pair(example_x, example_z_swapped, expect_m=2, expect_w=2)
+        assert all(report.checks.values())
+        assert report.violations == ()
+        assert (report.memory_x, report.memory_z) == (2, 2)
+        assert report.certificate.d_free == 3
 
-    def test_mismatched_scope_fails(self):
-        x = PolyMatrix.from_supports([[(0, 1), (0,)]])
-        z = PolyMatrix.from_supports([[(0, 2), (0,)]])
-        report = check_preservation(x, z)
-        assert not report.spectrum_match
-        assert not report.memory_match
-        assert report.weight_match
+    def test_identity_pair_does_not_commute(self, example_x, example_z_identity):
+        report = verify_pair(example_x, example_z_identity)
+        assert report.checks["commuting"] is False
+        assert report.checks["csoc_z"] is True  # reflection preserves CSOC
+        assert {check for check, _ in report.violations} == {"commutation"}
 
-    def test_holds_for_every_permutation(self):
-        for fam in search_strong_dts(2, 3, 7):
-            x = build_systematic_x(fam)
-            for pi in permutations(range(1, 3)):
-                assert check_preservation(x, build_z(x, pi)).ok
-
-
-class TestStabilizerPair:
-    def test_pair_from_family_swap(self, example_family):
-        pair = pair_from_family(example_family, (2, 1))
-        assert str(pair.x) == "(1+D, 1+D^2, 1)"
-        assert str(pair.z) == "(1+D^2, D+D^2, 1)"
-        assert pair.n == 3
-        assert pair.degree_bound == 2
-        assert pair.w == 2
-        assert pair.certified.commuting is None
-
-    def test_certify_swap_pair(self, example_family):
-        pair = certify(pair_from_family(example_family, (2, 1)))
-        flags = pair.certified
-        assert flags.strong_dts is True
-        assert flags.csoc_x is True
-        assert flags.csoc_z is True
-        assert flags.commuting is True
-        assert flags.dfree is True
-
-    def test_certify_identity_pair_does_not_commute(self, example_family):
-        pair = certify(pair_from_family(example_family))
-        assert pair.certified.commuting is False
-        assert pair.certified.csoc_z is True  # reflection preserves CSOC
-
-    def test_qcc_params_by_rate(self):
-        for sets, pi, label in (
-            ([(0, 1), (0, 2)], (2, 1), "1/3"),
-            ([(0, 1), (0, 2), (0, 5)], (2, 1, 3), "2/4"),
-            ([(0, 1, 3), (0, 4, 9), (0, 6, 13), (0, 8, 18)], (2, 1, 4, 3), "3/5"),
+    def test_transposition_pairs_certify(self):
+        """Transposition-based permutations give commuting pairs, d_free = w+1."""
+        for sets, pi in (
+            ([(0, 1), (0, 3)], (2, 1)),
+            ([(0, 1), (0, 2), (0, 5)], (2, 1, 3)),
+            ([(0, 1, 3), (0, 4, 9), (0, 6, 13), (0, 8, 18)], (2, 1, 4, 3)),
         ):
             fam = classify(sets)
-            pair = certify(pair_from_family(fam, pi))
-            params = qcc_params(pair)
-            assert params.rate_label == label
-            assert params.r_x == params.r_z == 1
+            x = build_systematic_x(fam)
+            report = verify_pair(x, build_z(x, pi), expect_w=fam.weight)
+            assert report.checks["commuting"] is True
+            assert report.checks["dfree"] is True
+            assert report.certificate.d_free == fam.weight + 1
 
-    def test_qcc_params_requires_commuting(self, example_family):
-        uncertified = pair_from_family(example_family, (2, 1))
-        with pytest.raises(ValueError, match="non-commuting"):
-            qcc_params(uncertified)
-        bad = certify(pair_from_family(example_family))  # identity pi
-        with pytest.raises(ValueError, match="non-commuting"):
-            qcc_params(bad)
+    def test_declared_memory_and_weight(self, example_x, example_z_swapped):
+        report = verify_pair(example_x, example_z_swapped, expect_m=3, expect_w=3)
+        assert report.checks["memory"] is False
+        assert report.checks["dfree"] is False
+        assert report.violations == (
+            ("memory", "memory 2 does not match declared m=3"),
+            ("dfree", "d_free 3 does not match declared w+1"),
+        )
+
+    def test_non_csoc_x_has_no_certificate(self):
+        x = PolyMatrix.from_supports([[(0, 1, 2), (0,)]])
+        report = verify_pair(x, build_z(x))
+        assert report.certificate is None
+        assert report.checks["csoc_x"] is False
+        assert report.checks["dfree"] is False
+        assert "dfree" not in {check for check, _ in report.violations}
 
 
 def test_reflection_preserves_per_set_differences():
@@ -172,15 +148,3 @@ def test_reflection_preserves_per_set_differences():
     for before, after in zip(fam.sets, reflected.sets):
         assert positive_differences(before) == positive_differences(after)
 
-
-def test_table_style_pairs_certify_end_to_end():
-    """Transposition-based permutations reproduce fully certified pairs."""
-    for sets, pi in (
-        ([(0, 1), (0, 3)], (2, 1)),
-        ([(0, 1), (0, 2), (0, 5)], (2, 1, 3)),
-        ([(0, 1, 3), (0, 4, 9), (0, 6, 13), (0, 8, 18)], (2, 1, 4, 3)),
-    ):
-        pair = certify(pair_from_family(classify(sets), pi))
-        assert pair.certified.commuting is True
-        assert pair.certified.dfree is True
-        assert qcc_params(pair).rate_numerator == pair.n - 2
