@@ -7,17 +7,21 @@ inconsistent built-in catalogue), reported as one ``internal error:`` line.
 A reader that closes stdout early (``qccdts search ... | head``) ends the
 command quietly with exit 0.
 
+``main`` builds only the subparser that its first argument names; no
+argument, ``-h``, ``--help``, ``--version`` or an unknown command build all six.
+
 Input JSON schema (all commands that take ``--input``):
 
     {"n": int, "T": [[int], ...], "Z": [[int], ...] (optional),
      "pi": [int] (optional, 1-based), "one_based": bool,
      "m": int (optional), "w": int (optional)}
 
-``Z_expected`` is accepted as an alias for ``Z``. The ``--one-based`` /
-``--zero-based`` flags override the file's convention. Integers must be
-JSON integers (``true`` is not 1, ``"3"`` is not 3) and ``one_based`` a
-JSON boolean; a field of the wrong type is an input error naming it.
-Optional fields given as ``null`` count as absent.
+``Z_expected`` is accepted as an alias for ``Z``; either holds one set per
+set of ``T``, all of one size. The ``--one-based`` / ``--zero-based`` flags
+override the file's convention. Integers must be JSON integers (``true`` is
+not 1, ``"3"`` is not 3) and ``one_based`` a JSON boolean; a field of the
+wrong type is an input error naming it. Optional fields given as ``null``
+count as absent.
 """
 
 from __future__ import annotations
@@ -41,7 +45,9 @@ from .distance import (
     dfree_exact,
     dfree_upper,
 )
-from .dts import DtsClass, DtsFamily, as_support, classify, from_one_based, search_strong_dts
+from .dts import (
+    DtsClass, DtsFamily, SupportSet, as_support, classify, from_one_based, search_strong_dts,
+)
 from .gf2poly import PolyMatrix
 from .reflect import build_z, identity_permutation, reflect_family, verify_pair
 from .tables import rows_for, validate_tables
@@ -63,7 +69,7 @@ class CliInputError(Exception):
 @dataclass(slots=True)
 class CodeInput:
     family: DtsFamily
-    z_family: DtsFamily | None
+    z_sets: list[SupportSet] | None
     pi: tuple[int, ...] | None
     expected_m: int | None
     expected_w: int | None
@@ -97,12 +103,8 @@ def _parse_sets(raw, one_based: bool, key: str):
         raise CliInputError(
             f'"{key}" must be a nonempty list of nonempty lists of integers'
         )
-    try:
-        if one_based:
-            return [from_one_based(s) for s in raw]
-        return [as_support(s) for s in raw]
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    convert = from_one_based if one_based else as_support
+    return [convert(s) for s in raw]
 
 
 def load_code_input(path: str, one_based_override: bool | None) -> CodeInput:
@@ -124,19 +126,17 @@ def load_code_input(path: str, one_based_override: bool | None) -> CodeInput:
     if one_based_override is not None:
         one_based = one_based_override
 
-    try:
-        family = classify(_parse_sets(payload["T"], one_based, "T"))
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    family = classify(_parse_sets(payload["T"], one_based, "T"))
 
     z_key = "Z" if "Z" in payload else "Z_expected"
     z_raw = payload.get(z_key)
-    z_family = None
+    z_sets = None
     if z_raw is not None:
-        try:
-            z_family = classify(_parse_sets(z_raw, one_based, z_key))
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from exc
+        z_sets = _parse_sets(z_raw, one_based, z_key)
+        if len(z_sets) != family.size:
+            raise CliInputError(f'"{z_key}" must hold {family.size} sets, like "T"')
+        if len({s.weight for s in z_sets}) > 1:
+            raise CliInputError(f'"{z_key}" sets must all have the same size')
 
     pi = payload.get("pi")
     if pi is not None:
@@ -151,7 +151,7 @@ def load_code_input(path: str, one_based_override: bool | None) -> CodeInput:
         )
     return CodeInput(
         family=family,
-        z_family=z_family,
+        z_sets=z_sets,
         pi=pi,
         expected_m=_optional_int(payload, "m"),
         expected_w=_optional_int(payload, "w"),
@@ -171,14 +171,11 @@ def _systematic_from_family(family: DtsFamily) -> tuple[PolyMatrix, list[str]]:
 
 def _pair_from_input(code: CodeInput) -> tuple[PolyMatrix, PolyMatrix, list[str]]:
     x, notes = _systematic_from_family(code.family)
-    if code.z_family is not None:
-        entries = tuple(s.to_poly() for s in code.z_family.sets)
+    if code.z_sets is not None:
+        entries = tuple(s.to_poly() for s in code.z_sets)
         z = PolyMatrix.row(entries + (x.entry(0, x.ncols - 1),))
     else:
-        try:
-            z = build_z(x, code.pi)
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from exc
+        z = build_z(x, code.pi)
     return x, z, notes
 
 
@@ -218,10 +215,7 @@ def cmd_reflect(args: argparse.Namespace) -> int:
     code = load_code_input(args.input, args.one_based)
     x, notes = _systematic_from_family(code.family)
     reflected = reflect_family(code.family)
-    try:
-        z = build_z(x, code.pi)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    z = build_z(x, code.pi)
     payload = {
         "X": str(x),
         "Z": str(z),
@@ -463,16 +457,12 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qccdts",
-        description=(
-            "Construct and certify quantum convolutional stabilizer pairs "
-            "from strong difference triangle sets."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for ``argv``, with only the subparser that ``argv[0]`` names.
+
+    All six are built when ``argv`` is empty or None or ``argv[0]`` names no
+    command (``-h``, ``--help``, ``--version``, a typo): help and usage list them.
+    """
 
     def add_io(p: argparse.ArgumentParser) -> None:
         p.add_argument("--input", required=True, help="code description JSON file")
@@ -487,49 +477,58 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
-    p_build = sub.add_parser("build", help="build X(D), Z(D) and parameters")
-    add_io(p_build)
-    p_build.set_defaults(func=cmd_build)
+    def add_distance(p: argparse.ArgumentParser) -> None:
+        add_io(p)
+        p.add_argument(
+            "--budget", type=int, default=None,
+            help="weight budget for the exact search on non-self-orthogonal input",
+        )
 
-    p_reflect = sub.add_parser("reflect", help="reflect a family into its Z supports")
-    add_io(p_reflect)
-    p_reflect.set_defaults(func=cmd_reflect)
+    def add_tables(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--table", type=int, default=None, choices=(1, 2, 3))
+        p.add_argument("--row", type=int, default=None)
+        p.add_argument("--json", action="store_true")
 
-    p_verify = sub.add_parser("verify", help="run the full certification suite")
-    add_io(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+    def add_search(p: argparse.ArgumentParser) -> None:
+        p.add_argument("r", type=int, help="number of sets")
+        p.add_argument("w", type=int, help="set weight")
+        p.add_argument("max_scope", type=int, help="largest allowed exponent")
+        p.add_argument("--full-strong", action="store_true")
+        p.add_argument(
+            "--limit", type=int, default=None,
+            help="print at most this many families (0 prints none)",
+        )
 
-    p_dist = sub.add_parser("distance", help="free distance and column distances")
-    add_io(p_dist)
-    p_dist.add_argument(
-        "--budget", type=int, default=None,
-        help="weight budget for the exact search on non-self-orthogonal input",
+    commands = (  # in the order --help lists them
+        ("build", "build X(D), Z(D) and parameters", add_io, cmd_build),
+        ("reflect", "reflect a family into its Z supports", add_io, cmd_reflect),
+        ("verify", "run the full certification suite", add_io, cmd_verify),
+        ("distance", "free distance and column distances", add_distance, cmd_distance),
+        ("tables", "re-verify the built-in catalogue", add_tables, cmd_tables),
+        ("search", "enumerate strong families", add_search, cmd_search),
     )
-    p_dist.set_defaults(func=cmd_distance)
-
-    p_tables = sub.add_parser("tables", help="re-verify the built-in catalogue")
-    p_tables.add_argument("--table", type=int, default=None, choices=(1, 2, 3))
-    p_tables.add_argument("--row", type=int, default=None)
-    p_tables.add_argument("--json", action="store_true")
-    p_tables.set_defaults(func=cmd_tables)
-
-    p_search = sub.add_parser("search", help="enumerate strong families")
-    p_search.add_argument("r", type=int, help="number of sets")
-    p_search.add_argument("w", type=int, help="set weight")
-    p_search.add_argument("max_scope", type=int, help="largest allowed exponent")
-    p_search.add_argument("--full-strong", action="store_true")
-    p_search.add_argument(
-        "--limit", type=int, default=None,
-        help="print at most this many families (0 prints none)",
+    parser = argparse.ArgumentParser(
+        prog="qccdts",
+        description=(
+            "Construct and certify quantum convolutional stabilizer pairs "
+            "from strong difference triangle sets."
+        ),
     )
-    p_search.set_defaults(func=cmd_search)
-
+    parser.add_argument("--version", action="version", version=__version__)
+    named = [c for c in commands if argv and c[0] == argv[0]]
+    # Alone, one subparser would make the top-level usage line list only it.
+    metavar = "{" + ",".join(c[0] for c in commands) + "}" if named else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, configure, handler in named or commands:
+        p = sub.add_parser(name, help=help_text)
+        configure(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

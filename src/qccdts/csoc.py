@@ -11,11 +11,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dts import DtsClass, DtsFamily, positive_differences
 from .gf2poly import ONE, PolyMatrix, coefficient_matrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class NonStrongFamilyWarning(UserWarning):
@@ -121,6 +123,8 @@ def block_toeplitz(h: PolyMatrix, j: int) -> np.ndarray:
     Block (t, u) equals the coefficient matrix H_{t-u} when 0 <= t-u <= mu
     and is zero otherwise; shape is ((j+1) r, (j+1) n).
     """
+    import numpy as np
+
     if j < 0:
         raise ValueError("window length must be non-negative")
     r, n = h.nrows, h.ncols

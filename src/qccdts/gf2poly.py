@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Degree of the zero polynomial. A distinguished sentinel, never -1.
 NEG_INF = float("-inf")
@@ -270,6 +271,8 @@ def mat_mul_transpose(a: PolyMatrix, b: PolyMatrix, invert_b: bool) -> PolyMatri
 
 def coefficient_matrix(a: PolyMatrix, s: int) -> np.ndarray:
     """The binary matrix of D^s coefficients of every entry."""
+    import numpy as np
+
     out = np.zeros((a.nrows, a.ncols), dtype=np.uint8)
     for i in range(a.nrows):
         for j in range(a.ncols):

@@ -25,10 +25,27 @@ commutation check, with no further content.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .gf2poly import PolyMatrix, mat_mul_transpose
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy, loaded by the first A7 check instead of with this module, so that
+# commands without the check never import it. sum_index_matrix runs 2M+1
+# times per check; reading this global there costs next to nothing, while
+# an ``import`` statement in its body would cost about 0.15 us per call
+# (CPython 3.11).
+_np = None
+
+
+def _load_numpy():
+    global _np
+    import numpy
+
+    _np = numpy
+    return numpy
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,6 +100,7 @@ def sum_index_matrix(x: PolyMatrix, s: int) -> np.ndarray:
     column k (the systematic identity column participates like any other,
     with support {0}).
     """
+    np = _np or _load_numpy()
     r = x.nrows
     out = np.zeros((r, r), dtype=np.uint8)
     for a in range(r):
@@ -122,6 +140,7 @@ def check_reflection_symmetry(
             f"degree window violated: exponent {x.max_degree} exceeds {window}"
         )
 
+    np = _np or _load_numpy()
     matrices = {s: sum_index_matrix(x, s) for s in range(0, 2 * window + 1)}
     for s in range(0, 2 * window + 1):
         lhs = matrices[s]

@@ -30,6 +30,13 @@ VERIFY_TABLES_CASES = json.loads(
     (pathlib.Path(__file__).parent / "data" / "verify_tables_cli.json").read_text()
 )
 
+# Usage, help, version and argument errors of `qccdts` (exit code, stdout
+# and stderr), recorded with Python 3.11's argparse at COLUMNS=80 while
+# `build_parser` still built all six subparsers for every command.
+USAGE_CASES = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "usage_cli.json").read_text()
+)
+
 
 @pytest.fixture
 def example_input(tmp_path):
@@ -285,6 +292,20 @@ class TestInputTypes:
         assert code == 0
         assert "verdict: PASS" in out
 
+    @pytest.mark.parametrize("key", ["Z", "Z_expected"])
+    def test_z_with_fewer_sets_than_t_exit_2(self, capsys, tmp_path, key):
+        # Used to reach the symplectic sum: "column counts differ: 3 vs 2".
+        code, out, err = self._run(capsys, tmp_path, **{key: [[1, 3]]})
+        self._assert_input_error(code, out, err, key)
+        assert err == f'error: "{key}" must hold 2 sets, like "T"\n'
+
+    @pytest.mark.parametrize("key", ["Z", "Z_expected"])
+    def test_z_sets_of_unequal_size_exit_2(self, capsys, tmp_path, key):
+        # Used to exit with classify's message, which names no field.
+        code, out, err = self._run(capsys, tmp_path, **{key: [[1, 3], [1, 2, 3]]})
+        self._assert_input_error(code, out, err, key)
+        assert err == f'error: "{key}" sets must all have the same size\n'
+
 
 class TestInternalErrors:
     """A broken library invariant exits 3 with one line, not a traceback."""
@@ -412,6 +433,19 @@ def test_verify_and_tables_match_recording(capsys, tmp_path, case):
     assert out == case["stdout"]
 
 
+@pytest.mark.parametrize(
+    "case", USAGE_CASES, ids=[case["name"] for case in USAGE_CASES]
+)
+def test_usage_matches_recording(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    with pytest.raises(SystemExit) as exited:
+        main(list(case["argv"]))
+    captured = capsys.readouterr()
+    assert (exited.value.code, captured.out, captured.err) == (
+        case["exit"], case["stdout"], case["stderr"]
+    )
+
+
 class TestSearch:
     def test_includes_running_example(self, capsys):
         code, out, _ = run_cli(capsys, "search", "2", "2", "2")
@@ -495,6 +529,54 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert '"sets": [[0, 1], [0, 2]]' in proc.stdout
+
+
+def _run_child(code: str, input_path: str) -> subprocess.CompletedProcess:
+    """Run ``code`` after a preamble that defines ``run(*argv)``: call
+    ``qccdts.cli.main`` in this child, assert exit 0, return its stdout."""
+    preamble = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import qccdts, qccdts.cli\n"
+        "path = sys.argv[1]\n"
+        "def run(*argv):\n"
+        "    out = io.StringIO()\n"
+        "    with redirect_stdout(out):\n"
+        "        assert qccdts.cli.main(list(argv)) == 0, argv\n"
+        "    return out.getvalue()\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", preamble + code, input_path],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+
+
+def test_commands_without_a7_never_import_numpy(example_input):
+    proc = _run_child(
+        "qccdts.cli.build_parser()\n"
+        'run("build", "--input", path)\n'
+        'run("reflect", "--input", path)\n'
+        'run("distance", "--json", "--input", path)\n'
+        'run("search", "2", "2", "5")\n'
+        'print("numpy" in sys.modules)\n',
+        example_input,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_verify_imports_numpy_with_unchanged_output(capsys, example_input):
+    _, expected, _ = run_cli(capsys, "verify", "--input", example_input)
+    proc = _run_child(
+        'print("numpy" in sys.modules)\n'
+        'sys.stdout.write(run("verify", "--input", path))\n'
+        'print("numpy" in sys.modules)\n',
+        example_input,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n" + expected + "True\n"
 
 
 def test_broken_pipe_exits_quietly():
