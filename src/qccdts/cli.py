@@ -33,6 +33,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from . import __version__
 from .csoc import NonStrongFamilyWarning, build_systematic_x, is_csoc, memory
@@ -423,6 +424,38 @@ def cmd_tables(args: argparse.Namespace) -> int:
     return 0 if not failed else 1
 
 
+class _SetTexts(dict):
+    """Maps a set's ``elements`` to its JSON text, rendered on first use."""
+
+    def __missing__(self, elements: tuple[int, ...]) -> str:
+        text = self[elements] = str(list(elements))
+        return text
+
+
+# ``DtsClass.name`` is a Python-level property; a dict lookup is cheaper.
+_CLASS_NAMES = {c: c.name for c in DtsClass}
+
+
+def _search_lines(families: Iterable[DtsFamily]) -> Iterator[str]:
+    """One JSON line per family, as ``json.dumps`` writes the object
+    ``{"one_based": false, "sets": ..., "classification": ..., "scope": M,
+    "budget": M}``.
+
+    A stream draws its sets from a few hundred candidates, so each distinct
+    set is rendered once per command. Every set ``search_strong_dts``
+    yields is normalized, so a family's scope is its largest difference,
+    which is its budget M.
+    """
+    texts = _SetTexts()
+    for f in families:
+        sets = ", ".join([texts[s.elements] for s in f.sets])
+        m = f.budget
+        yield (
+            f'{{"one_based": false, "sets": [{sets}], "classification": '
+            f'"{_CLASS_NAMES[f.classification]}", "scope": {m}, "budget": {m}}}\n'
+        )
+
+
 def cmd_search(args: argparse.Namespace) -> int:
     guards = dict(SEARCH_GUARDS)
     override = os.environ.get("QCCDTS_MAX_SEARCH")
@@ -452,8 +485,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         families = (
             f for f in families if f.classification == DtsClass.FULL_STRONG
         )
-    for family in itertools.islice(families, args.limit):
-        print(json.dumps(family.to_json()))
+    sys.stdout.writelines(_search_lines(itertools.islice(families, args.limit)))
     return 0
 
 

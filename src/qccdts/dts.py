@@ -149,15 +149,6 @@ class DtsFamily:
         """Per-set difference multisets, in family order."""
         return tuple(positive_differences(s) for s in self.sets)
 
-    def to_json(self) -> dict:
-        return {
-            "one_based": False,
-            "sets": [list(s.elements) for s in self.sets],
-            "classification": str(self.classification),
-            "scope": self.scope,
-            "budget": self.budget,
-        }
-
     def __str__(self) -> str:
         return "; ".join(str(s) for s in self.sets)
 

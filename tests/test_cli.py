@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
@@ -35,6 +36,16 @@ VERIFY_TABLES_CASES = json.loads(
 # `build_parser` still built all six subparsers for every command.
 USAGE_CASES = json.loads(
     (pathlib.Path(__file__).parent / "data" / "usage_cli.json").read_text()
+)
+
+# `qccdts search` (exit code, stdout and stderr) on one shape for each
+# r in 1..4 and w in 2..4, each plain and with --full-strong, under
+# --limit 0, 1, 5 and 100, on an empty stream, and on the engine, --limit
+# and guard errors, recorded while each line was still rendered by
+# json.dumps of a dict. Stdout is stored verbatim up to 4 KiB, above that
+# as its sha256 and line count.
+SEARCH_CASES = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "search_cli.json").read_text()
 )
 
 
@@ -444,6 +455,50 @@ def test_usage_matches_recording(capsys, monkeypatch, case):
     assert (exited.value.code, captured.out, captured.err) == (
         case["exit"], case["stdout"], case["stderr"]
     )
+
+
+@pytest.mark.parametrize(
+    "case", SEARCH_CASES, ids=[" ".join(case["argv"]) for case in SEARCH_CASES]
+)
+def test_search_matches_recording(capsys, monkeypatch, case):
+    monkeypatch.delenv("QCCDTS_MAX_SEARCH", raising=False)
+    code, out, err = run_cli(capsys, *case["argv"])
+    assert (code, err) == (case["exit"], case["stderr"])
+    if "stdout" in case:
+        assert out == case["stdout"]
+    else:
+        assert out.count("\n") == case["stdout_lines"]
+        assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]
+
+
+# (r, w, max_scope) streams with and without FULL_STRONG families.
+INVARIANT_SHAPES = [
+    (1, 2, 6), (1, 3, 9), (1, 4, 11), (2, 2, 10), (2, 4, 16), (3, 2, 12),
+    (3, 3, 13), (4, 3, 14), (4, 4, 24),
+]
+
+
+@pytest.mark.parametrize("shape", INVARIANT_SHAPES, ids=str)
+def test_search_full_strong_and_limit_invariants(capsys, shape):
+    argv = ["search", *map(str, shape)]
+    _, plain, _ = run_cli(capsys, *argv)
+    _, full, _ = run_cli(capsys, *argv, "--full-strong")
+    rows = [json.loads(line) for line in plain.splitlines()]
+    assert rows
+    for row in rows:
+        assert list(row) == ["one_based", "sets", "classification", "scope", "budget"]
+        assert row["one_based"] is False
+        assert row["scope"] == max(max(s) for s in row["sets"])
+        assert row["classification"] in ("STRONG", "FULL_STRONG")
+    expected = [
+        line for line, row in zip(plain.splitlines(), rows)
+        if row["classification"] == "FULL_STRONG"
+    ]
+    assert full.splitlines() == expected
+    for n in (0, 1, 2, len(expected) + 1):
+        code, head, _ = run_cli(capsys, *argv, "--limit", str(n), "--full-strong")
+        assert code == 0
+        assert head.splitlines() == expected[:n]
 
 
 class TestSearch:
