@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .csoc import (
     CsocReport,
-    DifferenceCollision,
     NonStrongFamilyWarning,
     block_toeplitz,
     build_systematic_x,
@@ -27,12 +26,12 @@ from .distance import (
     dfree_upper,
 )
 from .dts import (
+    DifferenceCollision,
     DtsClass,
     DtsFamily,
     SupportSet,
     classify,
     from_one_based,
-    normalize,
     positive_differences,
     search_strong_dts,
 )
@@ -45,12 +44,9 @@ from .gf2poly import (
     PolyMatrix,
     coefficient_matrix,
     mat_mul_transpose,
-    parse_poly,
-    parse_poly_row,
     poly_add,
     poly_mul,
     poly_reverse,
-    substitute_inverse,
 )
 from .reflect import (
     VerifyReport,
@@ -103,10 +99,7 @@ __all__ = [
     "is_csoc",
     "mat_mul_transpose",
     "memory",
-    "normalize",
     "parity_supports",
-    "parse_poly",
-    "parse_poly_row",
     "poly_add",
     "poly_mul",
     "poly_reverse",
@@ -114,7 +107,6 @@ __all__ = [
     "reflect_family",
     "rows_for",
     "search_strong_dts",
-    "substitute_inverse",
     "sum_index_matrix",
     "symplectic_sum",
     "validate_tables",

@@ -17,11 +17,12 @@ Input JSON schema (all commands that take ``--input``):
      "m": int (optional), "w": int (optional)}
 
 ``Z_expected`` is accepted as an alias for ``Z``; either holds one set per
-set of ``T``, all of one size. The ``--one-based`` / ``--zero-based`` flags
-override the file's convention. Integers must be JSON integers (``true`` is
-not 1, ``"3"`` is not 3) and ``one_based`` a JSON boolean; a field of the
-wrong type is an input error naming it. Optional fields given as ``null``
-count as absent.
+set of ``T``, all of one size. ``tables`` reads each catalogue row through
+the same parser. The ``--one-based`` / ``--zero-based`` flags override the
+file's convention. Integers must be JSON integers (``true`` is not 1,
+``"3"`` is not 3) and ``one_based`` a JSON boolean; a field of the wrong
+type is an input error naming it. Optional fields given as ``null`` count
+as absent.
 """
 
 from __future__ import annotations
@@ -36,11 +37,14 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import __version__
-from .csoc import NonStrongFamilyWarning, build_systematic_x, is_csoc, memory
+from .csoc import (
+    NonStrongFamilyWarning, build_systematic_x, is_csoc, memory, parity_supports,
+)
 from .distance import (
     MAX_EXACT_BUDGET,
     MAX_EXACT_MEMORY,
     MAX_WINDOW_BITS,
+    Method,
     certify_dfree,
     column_distance,
     dfree_exact,
@@ -49,14 +53,14 @@ from .distance import (
 from .dts import (
     DtsClass, DtsFamily, SupportSet, as_support, classify, from_one_based, search_strong_dts,
 )
-from .gf2poly import PolyMatrix
-from .reflect import build_z, identity_permutation, reflect_family, verify_pair
+from .gf2poly import ONE, PolyMatrix
+from .reflect import _check_permutation, build_z, identity_permutation, verify_pair
 from .tables import rows_for, validate_tables
 
 SEARCH_GUARDS = {"r": 5, "w": 5, "max_scope": 40}
 
 # The checks `tables` prints for each row: the shared pair checks plus
-# reflect_match, whether the reflected X family is the catalogue's Z.
+# reflect_match, whether the supports of build_z(X) are the catalogue's Z.
 TABLE_CHECKS = (
     "strong_dts", "memory", "reflect_match", "csoc_x", "csoc_z",
     "commuting", "a7_symmetry", "dfree",
@@ -97,13 +101,22 @@ def _optional_int(payload: dict, key: str) -> int | None:
     return value
 
 
-def _parse_sets(raw, one_based: bool, key: str):
+def _parse_sets(raw, one_based: bool, key: str) -> list[SupportSet]:
+    """0-based support sets from ``raw``; errors quote the sets as written."""
     if not isinstance(raw, list) or not raw or not all(
         isinstance(s, list) and s and all(_is_int(e) for e in s) for s in raw
     ):
         raise CliInputError(
             f'"{key}" must be a nonempty list of nonempty lists of integers'
         )
+    low = int(one_based)
+    for s in raw:
+        if len(set(s)) != len(s):
+            raise CliInputError(f'"{key}" set {s} repeats an element')
+        if min(s) < low:
+            raise CliInputError(
+                f'"{key}" set {s} holds {min(s)}; {low}-based elements start at {low}'
+            )
     convert = from_one_based if one_based else as_support
     return [convert(s) for s in raw]
 
@@ -116,6 +129,11 @@ def load_code_input(path: str, one_based_override: bool | None) -> CodeInput:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliInputError(f"malformed JSON in {path}: {exc}") from exc
+    return _code_input(payload, one_based_override)
+
+
+def _code_input(payload, one_based_override: bool | None) -> CodeInput:
+    """The one parser of code descriptions: ``--input`` files and catalogue rows."""
     if not isinstance(payload, dict) or "T" not in payload:
         raise CliInputError('input must be a JSON object with a "T" key')
 
@@ -143,7 +161,7 @@ def load_code_input(path: str, one_based_override: bool | None) -> CodeInput:
     if pi is not None:
         if not isinstance(pi, list) or not all(_is_int(e) for e in pi):
             raise CliInputError('"pi" must be a list of 1-based stream indices')
-        pi = tuple(pi)
+        pi = _check_permutation(pi, family.size)
 
     n = _optional_int(payload, "n")
     if n is not None and n != family.size + 1:
@@ -173,15 +191,14 @@ def _systematic_from_family(family: DtsFamily) -> tuple[PolyMatrix, list[str]]:
 def _pair_from_input(code: CodeInput) -> tuple[PolyMatrix, PolyMatrix, list[str]]:
     x, notes = _systematic_from_family(code.family)
     if code.z_sets is not None:
-        entries = tuple(s.to_poly() for s in code.z_sets)
-        z = PolyMatrix.row(entries + (x.entry(0, x.ncols - 1),))
+        z = PolyMatrix.row(tuple(s.to_poly() for s in code.z_sets) + (ONE,))
     else:
         z = build_z(x, code.pi)
     return x, z, notes
 
 
-def _family_as_one_based(family: DtsFamily) -> list[list[int]]:
-    return [[e + 1 for e in s.elements] for s in family.sets]
+def _format_sets(sets) -> str:
+    return "; ".join("{" + ", ".join(str(e) for e in s) + "}" for s in sets)
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -215,14 +232,14 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_reflect(args: argparse.Namespace) -> int:
     code = load_code_input(args.input, args.one_based)
     x, notes = _systematic_from_family(code.family)
-    reflected = reflect_family(code.family)
     z = build_z(x, code.pi)
+    z_sets = parity_supports(z)
     payload = {
         "X": str(x),
         "Z": str(z),
-        "reflected_zero_based": [list(s.elements) for s in reflected.sets],
-        "reflected_one_based": _family_as_one_based(reflected),
-        "pi": list(code.pi) if code.pi else list(identity_permutation(x.ncols - 1)),
+        "reflected_zero_based": [list(s) for s in z_sets],
+        "reflected_one_based": [[e + 1 for e in s] for s in z_sets],
+        "pi": list(code.pi or identity_permutation(x.ncols - 1)),
         "warnings": notes,
     }
     if args.json:
@@ -232,12 +249,8 @@ def cmd_reflect(args: argparse.Namespace) -> int:
             print(f"warning: {note}")
         print(f"X(D) = {x}")
         print(f"Z(D) = {z}")
-        print(f"Z family (0-based): {reflected}")
-        one_based = "; ".join(
-            "{" + ", ".join(str(e) for e in s) + "}"
-            for s in payload["reflected_one_based"]
-        )
-        print(f"Z family (1-based): {one_based}")
+        print(f"Z family (0-based): {_format_sets(z_sets)}")
+        print(f"Z family (1-based): {_format_sets(payload['reflected_one_based'])}")
     return 0
 
 
@@ -301,7 +314,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
             )
         found = dfree_exact(x, budget=budget)
         d_free = found if found is not None else f">{budget}"
-        method = "exact_search"
+        method = str(Method.EXACT_SEARCH)
         upper = dfree_upper(x)
         witness = (
             [[t, list(bits)] for t, bits in upper.witness]
@@ -340,10 +353,6 @@ def cmd_distance(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_sets(sets) -> str:
-    return "; ".join("{" + ", ".join(str(e) for e in s) + "}" for s in sets)
-
-
 def cmd_tables(args: argparse.Namespace) -> int:
     validate_tables()
     rows = rows_for(args.table, args.row)
@@ -352,14 +361,19 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
     results = []
     for row in rows:
-        family = classify([from_one_based(s) for s in row.t_sets])
-        x, _ = _systematic_from_family(family)
-        z = PolyMatrix.from_supports([list(row.g_z) + [(0,)]])
-        checks = verify_pair(x, z, expect_m=row.m, expect_w=row.w).checks
-        reflected = reflect_family(family)
-        checks["reflect_match"] = sorted(
-            s.elements for s in reflected.sets
-        ) == sorted(row.g_z)
+        code = _code_input({
+            "T": [list(s) for s in row.t_sets],
+            "Z": [list(s) for s in row.z_sets],
+            "m": row.m,
+            "w": row.w,
+        }, one_based_override=True)
+        x, z, _ = _pair_from_input(code)
+        checks = verify_pair(
+            x, z, expect_m=code.expected_m, expect_w=code.expected_w
+        ).checks
+        checks["reflect_match"] = sorted(parity_supports(build_z(x))) == sorted(
+            s.elements for s in code.z_sets
+        )
         results.append((row, x, z, {name: checks[name] for name in TABLE_CHECKS}))
 
     failed = [

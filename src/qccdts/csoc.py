@@ -3,7 +3,9 @@
 A family of n-1 support sets becomes the systematic single parity row
 X(D) = [x_1(D), ..., x_{n-1}(D), 1], where x_i carries the i-th set as
 its exponent support and the constant last entry is the systematic
-(identity) column.
+(identity) column. The row is self-orthogonal (CSOC) exactly when its
+parity supports form a DTS, so :func:`is_csoc` reports the collisions of
+``dts.repeated_differences``, the one check of that condition.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .dts import DtsClass, DtsFamily, positive_differences
+from .dts import DifferenceCollision, DtsClass, DtsFamily, repeated_differences
 from .gf2poly import ONE, PolyMatrix, coefficient_matrix
 
 if TYPE_CHECKING:
@@ -22,18 +24,6 @@ if TYPE_CHECKING:
 
 class NonStrongFamilyWarning(UserWarning):
     """Construction from a family below STRONG: well-defined, no guarantees."""
-
-
-@dataclass(frozen=True, slots=True)
-class DifferenceCollision:
-    """A repeated positive difference, with the 1-based entries involved."""
-
-    difference: int
-    entries: tuple[int, ...]
-
-    def __str__(self) -> str:
-        where = ", ".join(f"entry {e}" for e in self.entries)
-        return f"difference {self.difference} repeats ({where})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,12 +50,8 @@ def build_systematic_x(family: DtsFamily) -> PolyMatrix:
     return PolyMatrix.row(entries)
 
 
-def is_systematic(x: PolyMatrix) -> bool:
-    return x.nrows == 1 and x.ncols >= 2 and x.entry(0, x.ncols - 1) == ONE
-
-
 def require_systematic(x: PolyMatrix) -> None:
-    if not is_systematic(x):
+    if not (x.nrows == 1 and x.ncols >= 2 and x.entry(0, x.ncols - 1) == ONE):
         raise ValueError(
             "expected a systematic 1 x n row with constant 1 in the last entry"
         )
@@ -92,29 +78,12 @@ def memory(h: PolyMatrix) -> int:
 def is_csoc(x: PolyMatrix) -> CsocReport:
     """Self-orthogonality test on a systematic row.
 
-    True iff every parity entry's positive-difference multiset is
-    duplicate-free and the difference sets are pairwise disjoint across
-    entries. The report lists every colliding difference value together
-    with the entries it involves.
+    True iff the parity supports form a DTS: no positive difference
+    repeats within an entry or across two entries. The report lists the
+    collisions of :func:`dts.repeated_differences`, in its order.
     """
-    require_systematic(x)
-    per_entry = [
-        positive_differences(sup) if sup else ()
-        for sup in parity_supports(x)
-    ]
-
-    collisions: list[DifferenceCollision] = []
-    for i, diffs in enumerate(per_entry):
-        seen = set()
-        for d in diffs:
-            if d in seen:
-                collisions.append(DifferenceCollision(d, (i + 1,)))
-            seen.add(d)
-    for i in range(len(per_entry)):
-        for j in range(i + 1, len(per_entry)):
-            for d in sorted(set(per_entry[i]) & set(per_entry[j])):
-                collisions.append(DifferenceCollision(d, (i + 1, j + 1)))
-    return CsocReport(ok=not collisions, collisions=tuple(collisions))
+    collisions = repeated_differences(parity_supports(x))
+    return CsocReport(ok=not collisions, collisions=collisions)
 
 
 def block_toeplitz(h: PolyMatrix, j: int) -> np.ndarray:

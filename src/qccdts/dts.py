@@ -12,6 +12,11 @@ For a family of equal-size support sets the classification hierarchy is:
 The canonical internal convention is 0-based exponents (an element t is
 the exponent of D^t). Table-style 1-based sets are converted at the I/O
 boundary with :func:`from_one_based`.
+
+:func:`repeated_differences` is the one check of the difference
+condition: :func:`classify` reads its WDTS/DTS verdicts from it and
+``csoc.is_csoc`` reports its collisions, since a systematic row is
+self-orthogonal exactly when its parity supports form a DTS.
 """
 
 from __future__ import annotations
@@ -56,10 +61,8 @@ class SupportSet:
 
     @classmethod
     def from_iterable(cls, elements: Iterable[int]) -> "SupportSet":
-        elems = sorted(elements)
-        if len(set(elems)) != len(elems):
-            raise ValueError(f"duplicate elements in {elems!r}")
-        return cls(tuple(elems))
+        """Sort ``elements``; a repeated one fails the strictly-increasing check."""
+        return cls(tuple(sorted(elements)))
 
     @property
     def weight(self) -> int:
@@ -75,12 +78,8 @@ class SupportSet:
         return SupportSet(tuple(e - lo for e in self.elements))
 
     def reflect(self, window: int) -> "SupportSet":
-        """Map every element a to window - a and re-sort."""
-        if self.scope > window:
-            raise ValueError(
-                f"element {self.scope} exceeds reflection window {window}"
-            )
-        return SupportSet(tuple(sorted(window - e for e in self.elements)))
+        """Map every element a to window - a, through ``Gf2Poly.reverse``."""
+        return SupportSet(self.to_poly().reverse(window).support)
 
     def to_poly(self) -> Gf2Poly:
         return Gf2Poly(self.elements)
@@ -100,16 +99,8 @@ def as_support(value: SupportLike) -> SupportSet:
 
 def positive_differences(t: SupportLike) -> tuple[int, ...]:
     """All C(w,2) pairwise positive differences, with multiplicity, sorted."""
-    s = as_support(t)
-    out = [
-        b - a for a, b in itertools.combinations(s.elements, 2)
-    ]
-    return tuple(sorted(out))
-
-
-def normalize(t: SupportLike) -> SupportSet:
-    """Shift a set so its minimum element is 0."""
-    return as_support(t).normalize()
+    pairs = itertools.combinations(as_support(t).elements, 2)
+    return tuple(sorted(b - a for a, b in pairs))
 
 
 def from_one_based(elements: Iterable[int]) -> SupportSet:
@@ -118,6 +109,47 @@ def from_one_based(elements: Iterable[int]) -> SupportSet:
     if any(e == 0 for e in elems):
         raise ValueError("input is already 0-based or malformed")
     return SupportSet.from_iterable(e - 1 for e in elems)
+
+
+@dataclass(frozen=True, slots=True)
+class DifferenceCollision:
+    """A repeated positive difference, with the 1-based entries involved."""
+
+    difference: int
+    entries: tuple[int, ...]
+
+    def __str__(self) -> str:
+        where = ", ".join(f"entry {e}" for e in self.entries)
+        return f"difference {self.difference} repeats ({where})"
+
+
+def repeated_differences(
+    supports: Iterable[Sequence[int]],
+) -> tuple[DifferenceCollision, ...]:
+    """Every repeated positive difference among increasing supports.
+
+    First, entry by entry, each further occurrence of a difference within
+    one support names that entry alone; then, pair by pair, each difference
+    two supports share names both. Differences ascend within each group.
+    The result is empty exactly when the supports form a DTS; that case
+    costs one set over all differences. Empty supports have no differences.
+    """
+    per_entry = [[b - a for a, b in itertools.combinations(s, 2)] for s in supports]
+    flat = [d for diffs in per_entry for d in diffs]
+    if len(set(flat)) == len(flat):
+        return ()
+    collisions = []
+    for i, diffs in enumerate(per_entry, 1):
+        diffs.sort()
+        collisions.extend(
+            DifferenceCollision(d, (i,))
+            for prev, d in zip(diffs, diffs[1:])
+            if d == prev
+        )
+    distinct = [set(diffs) for diffs in per_entry]
+    for (i, a), (j, b) in itertools.combinations(enumerate(distinct, 1), 2):
+        collisions.extend(DifferenceCollision(d, (i, j)) for d in sorted(a & b))
+    return tuple(collisions)
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,10 +177,6 @@ class DtsFamily:
     def scope(self) -> int:
         return max(s.scope for s in self.sets)
 
-    def difference_spectrum(self) -> tuple[tuple[int, ...], ...]:
-        """Per-set difference multisets, in family order."""
-        return tuple(positive_differences(s) for s in self.sets)
-
     def __str__(self) -> str:
         return "; ".join(str(s) for s in self.sets)
 
@@ -167,25 +195,20 @@ def classify(sets: Iterable[SupportLike], budget: int | None = None) -> DtsFamil
     if any(s.weight != w for s in members):
         raise ValueError("all sets in a family must share one cardinality")
 
-    per_set = [positive_differences(s) for s in members]
-    is_wdts = all(len(set(d)) == len(d) for d in per_set)
-    if not is_wdts:
+    collisions = repeated_differences(s.elements for s in members)
+    if any(len(c.entries) == 1 for c in collisions):
         return DtsFamily(members, DtsClass.NOT_WDTS, None)
-    if w == 1:
+    if w == 1 or collisions:
         return DtsFamily(members, DtsClass.WDTS, None)
 
-    all_diffs = [d for ds in per_set for d in ds]
-    if len(set(all_diffs)) != len(all_diffs):
-        return DtsFamily(members, DtsClass.WDTS, None)
-
-    observed = max(all_diffs)
+    observed = max(s.scope - s.elements[0] for s in members)
     m = observed if budget is None else budget
     if m < observed:
         return DtsFamily(members, DtsClass.DTS, None)
 
-    if sorted(all_diffs) == list(range(1, m + 1)):
-        # Counting identity for exact coverage: r * C(w,2) == M.
-        assert len(members) * (w * (w - 1) // 2) == m
+    # The r * C(w,2) differences are distinct and lie in 1..M, so they
+    # cover 1..M exactly when there are M of them.
+    if len(members) * (w * (w - 1) // 2) == m:
         return DtsFamily(members, DtsClass.FULL_STRONG, m)
     return DtsFamily(members, DtsClass.STRONG, m)
 

@@ -9,13 +9,15 @@ they are safe to share across threads.
 The textual form used everywhere (CLI output, golden files) is
 ``1+D+D^3``: terms ascend, exponent 0 prints as ``1``, exponent 1 as
 ``D``, and every other exponent as ``D^k``. Rendering is byte-stable.
+It is an output format only: inputs arrive as exponent supports, and
+nothing parses the text back.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     import numpy as np
@@ -72,11 +74,7 @@ class Gf2Poly:
         return Gf2Poly(tuple(sorted(set(self.support) ^ set(other.support))))
 
     def __mul__(self, other: "Gf2Poly") -> "Gf2Poly":
-        counts: Counter[int] = Counter()
-        for a in self.support:
-            for b in other.support:
-                counts[a + b] += 1
-        return Gf2Poly(tuple(sorted(e for e, c in counts.items() if c % 2)))
+        return Gf2Poly.from_exponents(a + b for a in self.support for b in other.support)
 
     def coeff(self, s: int) -> int:
         """Coefficient of D^s (0 or 1)."""
@@ -137,42 +135,6 @@ def poly_reverse(p: Gf2Poly, window: int) -> Gf2Poly:
     return p.reverse(window)
 
 
-def substitute_inverse(p: Gf2Poly) -> Gf2Poly:
-    return p.subst_inverse()
-
-
-def parse_poly(text: str) -> Gf2Poly:
-    """Parse the ``1+D+D^3`` textual form (inverse of ``str``)."""
-    body = text.strip()
-    if body == "0":
-        return ZERO
-    exponents = []
-    for term in body.split("+"):
-        term = term.strip()
-        if term == "1":
-            exponents.append(0)
-        elif term == "D":
-            exponents.append(1)
-        elif term.startswith("D^"):
-            try:
-                exponents.append(int(term[2:]))
-            except ValueError:
-                raise ValueError(f"malformed term {term!r} in {text!r}") from None
-        else:
-            raise ValueError(f"malformed term {term!r} in {text!r}")
-    if len(set(exponents)) != len(exponents):
-        raise ValueError(f"repeated exponent in {text!r}")
-    return Gf2Poly(tuple(sorted(exponents)))
-
-
-def parse_poly_row(text: str) -> tuple[Gf2Poly, ...]:
-    """Parse a rendered row ``(1+D, 1+D^2, 1)`` back into polynomials."""
-    body = text.strip()
-    if not (body.startswith("(") and body.endswith(")")):
-        raise ValueError(f"expected parenthesized row, got {text!r}")
-    return tuple(parse_poly(part) for part in body[1:-1].split(","))
-
-
 @dataclass(frozen=True, slots=True)
 class PolyMatrix:
     """An r x n grid of Gf2Poly values (rows of stabilizer generators)."""
@@ -212,9 +174,6 @@ class PolyMatrix:
 
     def entry(self, i: int, j: int) -> Gf2Poly:
         return self.entries[i][j]
-
-    def __iter__(self) -> Iterator[tuple[Gf2Poly, ...]]:
-        return iter(self.entries)
 
     @property
     def max_degree(self) -> int | float:

@@ -3,7 +3,9 @@
 Reflecting every exponent a to M - a (M the family scope) preserves all
 pairwise differences, so a strong family stays strong, scope and entry
 weights are unchanged, and the reflected polynomials are the window
-reversals D^M x(D^-1) of the originals.
+reversals D^M x(D^-1) of the originals. Both routes, ``build_z`` on
+polynomials and ``reflect_family`` on support sets, reverse through
+``Gf2Poly.reverse``.
 
 Whether the resulting pair (X, Z) commutes symplectically depends on the
 entry permutation pi: the pair commutes exactly when the mod-2 product
@@ -13,8 +15,9 @@ invariant) satisfies this; an arbitrary pi does not. ``build_z`` accepts
 any permutation and leaves the judgement to the commutation check.
 
 ``verify_pair`` is the one verification pipeline: it runs every check on
-a pair and returns the verdicts, the violations behind them and the
-distance certificate, which the ``verify`` and ``tables`` commands render.
+a pair (strong_dts and csoc through the one difference check,
+``dts.repeated_differences``) and returns the verdicts, violations and
+distance certificate that the ``verify`` and ``tables`` commands render.
 """
 
 from __future__ import annotations
@@ -29,26 +32,15 @@ from .gf2poly import ONE, PolyMatrix
 from .symplectic import check_reflection_symmetry, is_commuting
 
 
-def reflect_family(family: DtsFamily, window: int | None = None) -> DtsFamily:
-    """Reflect every member set about the family scope.
+def reflect_family(family: DtsFamily) -> DtsFamily:
+    """Reflect every member set about the family scope, keeping its order.
 
-    The reflection window must equal the scope: a smaller window cannot
-    hold the sets and a larger one would silently pad the code memory,
-    so both are rejected. The result is re-classified from scratch and
-    keeps the original difference spectrum, scope and classification.
+    The result is re-classified from scratch and keeps the original
+    difference spectrum, scope and classification. With the identity pi
+    its sets are the parity supports of :func:`build_z`.
     """
-    scope = family.scope
-    if window is None:
-        window = scope
-    elif window < scope:
-        raise ValueError(f"exponent {scope} exceeds reflection window {window}")
-    elif window > scope:
-        raise ValueError(
-            f"window {window} exceeds family scope {scope}; "
-            "reflection about a padded window is not supported"
-        )
     # carry any explicit budget through so the classification is preserved
-    return classify([s.reflect(window) for s in family.sets], budget=family.budget)
+    return classify([s.reflect(family.scope) for s in family.sets], budget=family.budget)
 
 
 def identity_permutation(streams: int) -> tuple[int, ...]:

@@ -169,10 +169,9 @@ def validate_tables() -> None:
 
 
 def rows_for(table: int | None = None, row: int | None = None) -> list[TableRow]:
-    out = [
+    return [
         r
         for r in TABLE_ROWS
         if (table is None or r.table_id == table)
         and (row is None or r.row_no == row)
     ]
-    return out

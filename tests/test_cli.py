@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from qccdts import cli, parse_poly_row, reflect
+from qccdts import cli, reflect
 from qccdts.cli import main
 
 # `qccdts distance --json` on the 14 catalogue rows and on three colliding
@@ -48,6 +48,15 @@ SEARCH_CASES = json.loads(
     (pathlib.Path(__file__).parent / "data" / "search_cli.json").read_text()
 )
 
+# `qccdts build` and `qccdts reflect` (text and --json) on every catalogue
+# row with the identity and the reversed pi, and on an unnormalized, a
+# weight-1, a non-strong and an explicit-Z input. Recorded before the CLI
+# took one (X, Z) path; the reversed-pi `reflect` cases were re-recorded
+# when `reflect` began printing the family of the Z it prints.
+BUILD_REFLECT_CASES = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "build_reflect_cli.json").read_text()
+)
+
 
 @pytest.fixture
 def example_input(tmp_path):
@@ -74,12 +83,6 @@ class TestBuild:
         assert lines[0] == "X(D) = (1+D, 1+D^2, 1)"
         assert lines[1] == "Z(D) = (1+D^2, D+D^2, 1)"
         assert lines[2] == "n = 3, memory = 2, w = 2, rate = 1/3"
-
-    def test_round_trip_through_text_format(self, capsys, example_input):
-        _, out, _ = run_cli(capsys, "build", "--input", example_input)
-        x_text = out.splitlines()[0].split(" = ", 1)[1]
-        row = parse_poly_row(x_text)
-        assert [p.support for p in row] == [(0, 1), (0, 2), (0,)]
 
     def test_table_two_row_five(self, capsys, tmp_path):
         path = tmp_path / "t2r5.json"
@@ -139,8 +142,8 @@ class TestReflect:
         assert code == 0
         assert "X(D) = (1+D, 1+D^2, 1)" in out
         assert "Z(D) = (1+D^2, D+D^2, 1)" in out
-        assert "Z family (0-based): {1, 2}; {0, 2}" in out
-        assert "Z family (1-based): {2, 3}; {1, 3}" in out
+        assert "Z family (0-based): {0, 2}; {1, 2}" in out
+        assert "Z family (1-based): {1, 3}; {2, 3}" in out
 
 
 class TestVerify:
@@ -318,6 +321,55 @@ class TestInputTypes:
         assert err == f'error: "{key}" sets must all have the same size\n'
 
 
+    @pytest.mark.parametrize("command", ["build", "verify", "distance"])
+    def test_pi_checked_when_z_is_given(self, capsys, tmp_path, command):
+        # With an explicit Z, pi used to go unread: verify printed PASS.
+        path = tmp_path / "pi.json"
+        path.write_text(json.dumps(
+            {"T": [[1, 2], [1, 3]], "Z": [[1, 3], [2, 3]], "pi": [9, 9]}
+        ))
+        code, out, err = run_cli(capsys, command, "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: pi (9, 9) is not a permutation of streams 1..2\n"
+
+    @pytest.mark.parametrize(
+        "key, sets, bad",
+        [
+            ("T", [[1, 1], [1, 3]], "[1, 1]"),
+            ("Z", [[1, 3], [3, 3]], "[3, 3]"),
+            ("Z_expected", [[1, 3], [3, 3]], "[3, 3]"),
+        ],
+    )
+    def test_repeated_element_names_key_and_set(self, capsys, tmp_path, key, sets, bad):
+        # Used to print the shifted values: "duplicate elements in [0, 0]".
+        code, out, err = self._run(capsys, tmp_path, **{key: sets})
+        self._assert_input_error(code, out, err, key)
+        assert err == f'error: "{key}" set {bad} repeats an element\n'
+
+    @pytest.mark.parametrize(
+        "key, sets, bad",
+        [
+            ("T", [[0, 1], [1, 3]], "[0, 1]"),
+            ("Z", [[1, 3], [0, 3]], "[0, 3]"),
+            ("Z_expected", [[1, 3], [-2, 3]], "[-2, 3]"),
+        ],
+    )
+    def test_element_below_one_names_key_and_set(self, capsys, tmp_path, key, sets, bad):
+        # Used to print "input is already 0-based or malformed".
+        code, out, err = self._run(capsys, tmp_path, **{key: sets})
+        self._assert_input_error(code, out, err, key)
+        low = min(json.loads(bad))
+        assert err == f'error: "{key}" set {bad} holds {low}; 1-based elements start at 1\n'
+
+    @pytest.mark.parametrize("key", ["T", "Z"])
+    def test_negative_zero_based_element_names_key_and_set(self, capsys, tmp_path, key):
+        sets = {"T": [[0, 1], [0, 2]], "Z": [[0, 2], [1, 2]]}
+        sets[key] = [[-1, 1], [0, 2]]
+        code, out, err = self._run(capsys, tmp_path, one_based=False, **sets)
+        self._assert_input_error(code, out, err, key)
+        assert err == f'error: "{key}" set [-1, 1] holds -1; 0-based elements start at 0\n'
+
+
 class TestInternalErrors:
     """A broken library invariant exits 3 with one line, not a traceback."""
 
@@ -440,6 +492,17 @@ def test_verify_and_tables_match_recording(capsys, tmp_path, case):
         path.write_text(json.dumps(case["input"]))
         argv += ["--input", str(path)]
     code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (case["exit"], case["stderr"])
+    assert out == case["stdout"]
+
+
+@pytest.mark.parametrize(
+    "case", BUILD_REFLECT_CASES, ids=[case["name"] for case in BUILD_REFLECT_CASES]
+)
+def test_build_and_reflect_match_recording(capsys, tmp_path, case):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(case["input"]))
+    code, out, err = run_cli(capsys, *case["argv"], "--input", str(path))
     assert (code, err) == (case["exit"], case["stderr"])
     assert out == case["stdout"]
 

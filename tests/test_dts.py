@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 
 from qccdts import (
     DtsClass,
+    PolyMatrix,
     SupportSet,
     classify,
     from_one_based,
-    normalize,
+    is_csoc,
     positive_differences,
     search_strong_dts,
 )
+from qccdts.dts import repeated_differences
 
 support_sets = st.lists(
     st.integers(min_value=0, max_value=60), min_size=1, max_size=6, unique=True
@@ -61,17 +63,17 @@ class TestPositiveDifferences:
 
 class TestNormalize:
     def test_shifts_to_zero(self):
-        assert normalize((1, 2, 4)).elements == (0, 1, 3)
+        assert SupportSet((1, 2, 4)).normalize().elements == (0, 1, 3)
 
     def test_already_normalized(self):
-        assert normalize((0, 5)).elements == (0, 5)
+        assert SupportSet((0, 5)).normalize().elements == (0, 5)
 
     def test_larger_offset(self):
-        assert normalize((7, 9, 10)).elements == (0, 2, 3)
+        assert SupportSet((7, 9, 10)).normalize().elements == (0, 2, 3)
 
     @given(support_sets)
     def test_differences_invariant(self, s):
-        assert positive_differences(normalize(s)) == positive_differences(s)
+        assert positive_differences(s.normalize()) == positive_differences(s)
 
 
 class TestFromOneBased:
@@ -229,6 +231,96 @@ def test_search_matches_brute_force(r, w, scope):
         for fam in search_strong_dts(r, w, scope)
     ]
     assert found == _brute_force_strong(r, w, scope)
+
+
+def _collisions_bruteforce(supports) -> list[tuple[int, tuple[int, ...]]]:
+    """The documented collision list, from counts over every pair of elements.
+
+    Within each entry, a difference seen k times gives k - 1 collisions;
+    then every difference two entries share gives one. Both ascend.
+    """
+    diffs = [[b - a for a in s for b in s if b > a] for s in supports]
+    top = max((d for ds in diffs for d in ds), default=0)
+    out = []
+    for i, ds in enumerate(diffs, 1):
+        for d in range(1, top + 1):
+            out += [(d, (i,))] * max(ds.count(d) - 1, 0)
+    for i, j in itertools.combinations(range(len(diffs)), 2):
+        out += [
+            (d, (i + 1, j + 1))
+            for d in range(1, top + 1)
+            if d in diffs[i] and d in diffs[j]
+        ]
+    return out
+
+
+def _verdict_bruteforce(supports) -> DtsClass:
+    """classify's verdict with no budget, from the brute-force collisions."""
+    collisions = _collisions_bruteforce(supports)
+    if any(len(entries) == 1 for _, entries in collisions):
+        return DtsClass.NOT_WDTS
+    if len(supports[0]) == 1 or collisions:
+        return DtsClass.WDTS
+    diffs = sorted(b - a for s in supports for a in s for b in s if b > a)
+    if diffs == list(range(1, diffs[-1] + 1)):
+        return DtsClass.FULL_STRONG
+    return DtsClass.STRONG
+
+
+class TestRepeatedDifferences:
+    """The one difference check, against an engine-free brute force."""
+
+    CASES = {
+        "repeat within one set": [(0, 1, 2), (0, 4, 9)],
+        "difference thrice in one set": [(0, 1, 2, 3)],
+        "repeat across two sets": [(0, 1), (0, 1)],
+        "one difference in three entries": [(0, 2), (1, 3), (5, 7)],
+        "within and across": [(0, 1, 2), (0, 2, 7)],
+        "weight-1 sets": [(0,), (3,), (5,)],
+        "distinct": [(0, 1, 3), (0, 4, 9)],
+    }
+
+    @staticmethod
+    def _as_pairs(collisions):
+        return [(c.difference, c.entries) for c in collisions]
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_named_cases(self, name):
+        supports = self.CASES[name]
+        want = _collisions_bruteforce(supports)
+        assert self._as_pairs(repeated_differences(supports)) == want
+        assert classify(supports).classification == _verdict_bruteforce(supports)
+        x = PolyMatrix.from_supports([list(supports) + [(0,)]])
+        assert self._as_pairs(is_csoc(x).collisions) == want
+
+    def test_three_entries_share_one_difference(self):
+        supports = self.CASES["one difference in three entries"]
+        assert self._as_pairs(repeated_differences(supports)) == [
+            (2, (1, 2)), (2, (1, 3)), (2, (2, 3)),
+        ]
+
+    def test_empty_parity_entries(self):
+        # A hand-built row may hold zero polynomials; they have no differences.
+        supports = [(0, 1), (), (3, 4), (), (0, 2, 4)]
+        x = PolyMatrix.from_supports([supports + [(0,)]])
+        want = _collisions_bruteforce(supports)
+        assert want == [(2, (5,)), (1, (1, 3))]
+        assert self._as_pairs(is_csoc(x).collisions) == want
+        assert not is_csoc(x).ok
+
+    def test_random_families(self):
+        rng = random.Random(8)
+        for _ in range(2000):
+            r, w = rng.randint(1, 4), rng.randint(1, 4)
+            supports = [tuple(sorted(rng.sample(range(13), w))) for _ in range(r)]
+            want = _collisions_bruteforce(supports)
+            assert self._as_pairs(repeated_differences(supports)) == want
+            fam = classify(supports)
+            assert fam.classification == _verdict_bruteforce(supports)
+            x = PolyMatrix.from_supports([supports + [(0,)]])
+            report = is_csoc(x)
+            assert self._as_pairs(report.collisions) == want
+            assert report.ok == (not want)
 
 
 def test_classification_reorder_random():

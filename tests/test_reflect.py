@@ -25,7 +25,7 @@ class TestReflectFamily:
 
     def test_table_instance(self):
         fam = classify([(0, 1, 3), (0, 4, 9)])
-        reflected = reflect_family(fam, 9)
+        reflected = reflect_family(fam)
         assert [s.elements for s in reflected.sets] == [(6, 8, 9), (0, 5, 9)]
 
     def test_palindromic_fixed_point(self):
@@ -34,10 +34,11 @@ class TestReflectFamily:
         assert [s.elements for s in reflected.sets] == [(0, 2)]
 
     def test_window_must_match_scope(self, example_family):
-        with pytest.raises(ValueError, match="exceeds reflection window"):
-            reflect_family(example_family, 1)
-        with pytest.raises(ValueError, match="padded window"):
-            reflect_family(example_family, 5)
+        # the window is the scope: a smaller one cannot hold the sets
+        reflected = reflect_family(example_family)
+        assert reflected.scope == example_family.scope
+        with pytest.raises(ValueError, match="reversal window"):
+            example_family.sets[1].reflect(1)
 
     def test_involution(self):
         for fam in search_strong_dts(2, 3, 9):
@@ -56,8 +57,8 @@ class TestReflectFamily:
                 reflected = reflect_family(fam)
                 assert reflected.classification == fam.classification
                 assert reflected.scope == fam.scope
-                assert sorted(reflected.difference_spectrum()) == sorted(
-                    fam.difference_spectrum()
+                assert sorted(map(positive_differences, reflected.sets)) == sorted(
+                    map(positive_differences, fam.sets)
                 )
 
 
