@@ -471,7 +471,7 @@ def _search_lines(families: Iterable[DtsFamily]) -> Iterator[str]:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    guards = dict(SEARCH_GUARDS)
+    guards = SEARCH_GUARDS
     override = os.environ.get("QCCDTS_MAX_SEARCH")
     if override is not None:
         try:
@@ -480,7 +480,8 @@ def cmd_search(args: argparse.Namespace) -> int:
             raise CliInputError(
                 f"QCCDTS_MAX_SEARCH must be an integer, got {override!r}"
             ) from None
-        guards = {"r": cap, "w": cap, "max_scope": cap}
+        # The variable only lifts guards: a cap below a default keeps it.
+        guards = {name: max(default, cap) for name, default in guards.items()}
 
     for name, value in (("r", args.r), ("w", args.w), ("max_scope", args.max_scope)):
         if value > guards[name]:

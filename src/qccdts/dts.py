@@ -17,6 +17,12 @@ boundary with :func:`from_one_based`.
 condition: :func:`classify` reads its WDTS/DTS verdicts from it and
 ``csoc.is_csoc`` reports its collisions, since a systematic row is
 self-orthogonal exactly when its parity supports form a DTS.
+
+:func:`search_strong_dts` enumerates strong families with ``int``
+difference masks, one generator over an explicit stack of frames, and a
+last-level loop that yields each family. It builds each frozen
+:class:`DtsFamily` through the class's slot descriptors, because the
+frozen ``__init__`` calls ``object.__setattr__`` once per field.
 """
 
 from __future__ import annotations
@@ -181,6 +187,15 @@ class DtsFamily:
         return "; ".join(str(s) for s in self.sets)
 
 
+# search_strong_dts fills DtsFamily's three slots through these descriptors:
+# the frozen __init__ runs object.__setattr__ per field, which cost about
+# as much per family as the rest of the search.
+_new = object.__new__
+_set_sets = DtsFamily.sets.__set__
+_set_classification = DtsFamily.classification.__set__
+_set_budget = DtsFamily.budget.__set__
+
+
 def classify(sets: Iterable[SupportLike], budget: int | None = None) -> DtsFamily:
     """Classify a family, recomputing the verdict from scratch.
 
@@ -238,13 +253,21 @@ def search_strong_dts(r: int, w: int, max_scope: int) -> Iterator[DtsFamily]:
 
     Families are canonical (member sets in lexicographic order, which also
     deduplicates permuted copies) and are yielded in lexicographic order of
-    that canonical form. The stream is empty when no family exists.
+    that canonical form. The stream is empty when no family exists. The
+    argument checks raise ValueError on the first iteration.
 
-    The search carries the union of the chosen sets' difference masks, so
-    each family is classified from that mask without calling
-    :func:`classify`. Because every set is normalized, the largest
-    difference is the family scope, which is the tightest budget M; the
-    family is FULL_STRONG iff the mask covers exactly 1..M.
+    The search is one generator over an explicit stack of frames
+    ``(pool, next index, chosen, used mask)``: ``pool`` holds the later
+    candidates whose difference masks miss ``used``, the union of the
+    chosen sets' masks. Once r-1 sets are chosen, a last-level loop runs
+    straight over the frame's pool, so each family costs one mask union
+    and no generator frame per chosen set. Because every set is
+    normalized, the largest difference is the family scope, which is the
+    tightest budget M; the family is FULL_STRONG iff the mask covers
+    exactly 1..M. Families are classified from that mask without calling
+    :func:`classify`. They are built through the slot descriptors, not the
+    constructor, because the frozen ``__init__`` calls ``object.__setattr__``
+    once per field; each is still an ordinary frozen :class:`DtsFamily`.
     """
     if r < 1:
         raise ValueError("need at least one set")
@@ -253,21 +276,25 @@ def search_strong_dts(r: int, w: int, max_scope: int) -> Iterator[DtsFamily]:
     if max_scope < w - 1:
         raise ValueError(f"scope {max_scope} cannot hold a {w}-set")
 
-    def extend(
-        pool: list[tuple[SupportSet, int]], chosen: tuple[SupportSet, ...], used: int
-    ) -> Iterator[DtsFamily]:
-        # ``pool`` holds only the later candidates whose masks miss ``used``.
-        for idx, (member, mask) in enumerate(pool):
-            family = chosen + (member,)
+    strong, full_strong = DtsClass.STRONG, DtsClass.FULL_STRONG
+    last = r - 1
+    stack = [(_wdts_candidates(w, max_scope), 0, (), 0)]
+    while stack:
+        pool, idx, chosen, used = stack.pop()
+        if len(chosen) == last:
+            for member, mask in pool:
+                covered = used | mask
+                budget = covered.bit_length() - 1
+                family = _new(DtsFamily)
+                _set_sets(family, chosen + (member,))
+                _set_classification(
+                    family, full_strong if covered == (2 << budget) - 2 else strong
+                )
+                _set_budget(family, budget)
+                yield family
+        elif idx < len(pool):
+            member, mask = pool[idx]
+            stack.append((pool, idx + 1, chosen, used))
             covered = used | mask
-            if len(family) < r:
-                rest = [c for c in pool[idx + 1:] if not c[1] & covered]
-                yield from extend(rest, family, covered)
-                continue
-            budget = covered.bit_length() - 1
-            full = covered == (1 << (budget + 1)) - 2
-            yield DtsFamily(
-                family, DtsClass.FULL_STRONG if full else DtsClass.STRONG, budget
-            )
-
-    yield from extend(_wdts_candidates(w, max_scope), (), 0)
+            rest = [c for c in pool[idx + 1:] if not c[1] & covered]
+            stack.append((rest, 0, chosen + (member,), covered))

@@ -623,6 +623,17 @@ class TestSearch:
         assert code == 0
         assert len(out.splitlines()) == 1
 
+    def test_env_override_never_tightens_guard(self, capsys, monkeypatch):
+        # 6 is above the r and w guards but below the max_scope guard of 40,
+        # which must stay in force rather than drop to 6.
+        monkeypatch.setenv("QCCDTS_MAX_SEARCH", "6")
+        code, out, err = run_cli(capsys, "search", "2", "2", "10", "--limit", "1")
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"one_based": false, "sets": [[0, 1], [0, 2]], '
+            '"classification": "FULL_STRONG", "scope": 2, "budget": 2}\n'
+        )
+
     def test_env_override_must_be_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("QCCDTS_MAX_SEARCH", "lots")
         code, _, err = run_cli(capsys, "search", "2", "2", "2")

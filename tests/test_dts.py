@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from qccdts import (
     DtsClass,
+    DtsFamily,
     PolyMatrix,
     SupportSet,
     classify,
@@ -195,6 +197,31 @@ class TestSearch:
                     assert fam.size * math.comb(fam.weight, 2) == fam.budget
         assert seen_full > 0
 
+    # Streams at r = 1, 2, 4 and 5; FULL_STRONG families per stream, in
+    # order: 1 of 5, 2 of 80, 0 of 628, 1 of 495, 128 of 640, 672 of 672.
+    @pytest.mark.parametrize(
+        "r, w, scope",
+        [(1, 2, 5), (1, 4, 11), (2, 3, 12), (4, 2, 12), (4, 3, 13), (5, 3, 15)],
+    )
+    def test_families_match_the_constructor(self, r, w, scope):
+        # The engine builds families without DtsFamily.__init__; each must
+        # still be a frozen, slotted DtsFamily equal to a constructed one.
+        params = DtsFamily.__dataclass_params__
+        assert params.frozen and "__slots__" in vars(DtsFamily)
+        families = list(search_strong_dts(r, w, scope))
+        assert families
+        for fam in families:
+            assert type(fam) is DtsFamily
+            twin = DtsFamily(fam.sets, fam.classification, fam.budget)
+            assert fam == twin and hash(fam) == hash(twin)
+            again = classify(fam.sets)
+            assert again.classification is fam.classification
+            assert again.budget == fam.budget
+            for field in ("sets", "classification", "budget"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(fam, field, getattr(fam, field))
+            assert not hasattr(fam, "__dict__")
+
 
 def _brute_force_strong(r: int, w: int, scope: int) -> list[tuple]:
     """Every canonical strong family, found without the search engine.
@@ -223,7 +250,11 @@ def _brute_force_strong(r: int, w: int, scope: int) -> list[tuple]:
         for w in (2, 3)
         for scope in range(w - 1, 10)
     ]
-    + [(4, 2, 8)],
+    # r = 1 and r = 5 (the guard maximum) bound the stack's depth; the
+    # (2, 4) stream is empty up to scope 12 and holds 8, 32, 164 families
+    # at scopes 13, 14, 15.
+    + [(1, 4, 13), (2, 4, 13), (2, 4, 14), (2, 4, 15)]
+    + [(r, 2, scope) for r in (4, 5) for scope in range(1, 11)],
 )
 def test_search_matches_brute_force(r, w, scope):
     found = [
