@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .csoc import (
     CsocReport,
     NonStrongFamilyWarning,
-    block_toeplitz,
     build_systematic_x,
     is_csoc,
     memory,
@@ -42,11 +41,7 @@ from .gf2poly import (
     D,
     Gf2Poly,
     PolyMatrix,
-    coefficient_matrix,
     mat_mul_transpose,
-    poly_add,
-    poly_mul,
-    poly_reverse,
 )
 from .reflect import (
     VerifyReport,
@@ -84,13 +79,11 @@ __all__ = [
     "TableRow",
     "VerifyReport",
     "ZERO",
-    "block_toeplitz",
     "build_systematic_x",
     "build_z",
     "certify_dfree",
     "check_reflection_symmetry",
     "classify",
-    "coefficient_matrix",
     "column_distance",
     "dfree_exact",
     "dfree_upper",
@@ -100,9 +93,6 @@ __all__ = [
     "mat_mul_transpose",
     "memory",
     "parity_supports",
-    "poly_add",
-    "poly_mul",
-    "poly_reverse",
     "positive_differences",
     "reflect_family",
     "rows_for",

@@ -13,13 +13,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .dts import DifferenceCollision, DtsClass, DtsFamily, repeated_differences
-from .gf2poly import ONE, PolyMatrix, coefficient_matrix
-
-if TYPE_CHECKING:
-    import numpy as np
+from .gf2poly import ONE, PolyMatrix
 
 
 class NonStrongFamilyWarning(UserWarning):
@@ -85,25 +81,3 @@ def is_csoc(x: PolyMatrix) -> CsocReport:
     collisions = repeated_differences(parity_supports(x))
     return CsocReport(ok=not collisions, collisions=collisions)
 
-
-def block_toeplitz(h: PolyMatrix, j: int) -> np.ndarray:
-    """Truncated lower-banded block parity-check matrix on window [0..j].
-
-    Block (t, u) equals the coefficient matrix H_{t-u} when 0 <= t-u <= mu
-    and is zero otherwise; shape is ((j+1) r, (j+1) n).
-    """
-    import numpy as np
-
-    if j < 0:
-        raise ValueError("window length must be non-negative")
-    r, n = h.nrows, h.ncols
-    out = np.zeros(((j + 1) * r, (j + 1) * n), dtype=np.uint8)
-    if h.is_zero():
-        return out
-    mu = int(h.max_degree)
-    blocks = {ell: coefficient_matrix(h, ell) for ell in range(mu + 1)}
-    for t in range(j + 1):
-        for ell in range(min(mu, t) + 1):
-            u = t - ell
-            out[t * r : (t + 1) * r, u * n : (u + 1) * n] = blocks[ell]
-    return out

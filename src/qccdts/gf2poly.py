@@ -17,10 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Iterable
 
 #: Degree of the zero polynomial. A distinguished sentinel, never -1.
 NEG_INF = float("-inf")
@@ -76,10 +73,6 @@ class Gf2Poly:
     def __mul__(self, other: "Gf2Poly") -> "Gf2Poly":
         return Gf2Poly.from_exponents(a + b for a in self.support for b in other.support)
 
-    def coeff(self, s: int) -> int:
-        """Coefficient of D^s (0 or 1)."""
-        return 1 if s in self.support else 0
-
     def shift(self, k: int) -> "Gf2Poly":
         """Multiply by D^k."""
         return Gf2Poly(tuple(e + k for e in self.support))
@@ -121,18 +114,6 @@ def _term(e: int) -> str:
 ZERO = Gf2Poly()
 ONE = Gf2Poly((0,))
 D = Gf2Poly((1,))
-
-
-def poly_add(p: Gf2Poly, q: Gf2Poly) -> Gf2Poly:
-    return p + q
-
-
-def poly_mul(p: Gf2Poly, q: Gf2Poly) -> Gf2Poly:
-    return p * q
-
-
-def poly_reverse(p: Gf2Poly, window: int) -> Gf2Poly:
-    return p.reverse(window)
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,8 +188,8 @@ class PolyMatrix:
         return "[" + "; ".join(rows) + "]"
 
 
-def mat_mul_transpose(a: PolyMatrix, b: PolyMatrix, invert_b: bool) -> PolyMatrix:
-    """Compute A(D) * B'(D)^T where B' is B with D -> D^-1 when flagged.
+def mat_mul_transpose(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """Compute A(D) * B(D^-1)^T.
 
     This is the building block of the symplectic product: both matrices
     must have the same column count; the result is r_A x r_B.
@@ -216,24 +197,12 @@ def mat_mul_transpose(a: PolyMatrix, b: PolyMatrix, invert_b: bool) -> PolyMatri
     if a.ncols != b.ncols:
         raise ValueError(f"column counts differ: {a.ncols} vs {b.ncols}")
     out = []
-    for i in range(a.nrows):
+    for row_a in a.entries:
         row = []
-        for j in range(b.nrows):
+        for row_b in b.entries:
             acc = ZERO
-            for k in range(a.ncols):
-                rhs = b.entry(j, k).subst_inverse() if invert_b else b.entry(j, k)
-                acc = acc + a.entry(i, k) * rhs
+            for p, q in zip(row_a, row_b):
+                acc = acc + p * q.subst_inverse()
             row.append(acc)
         out.append(tuple(row))
     return PolyMatrix(tuple(out))
-
-
-def coefficient_matrix(a: PolyMatrix, s: int) -> np.ndarray:
-    """The binary matrix of D^s coefficients of every entry."""
-    import numpy as np
-
-    out = np.zeros((a.nrows, a.ncols), dtype=np.uint8)
-    for i in range(a.nrows):
-        for j in range(a.ncols):
-            out[i, j] = a.entry(i, j).coeff(s)
-    return out

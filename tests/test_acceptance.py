@@ -24,12 +24,10 @@ from qccdts import (
     DtsClass,
     Gf2Poly,
     PolyMatrix,
-    block_toeplitz,
     build_systematic_x,
     build_z,
     check_reflection_symmetry,
     classify,
-    coefficient_matrix,
     column_distance,
     dfree_exact,
     dfree_upper,
@@ -38,9 +36,6 @@ from qccdts import (
     is_csoc,
     memory,
     parity_supports,
-    poly_add,
-    poly_mul,
-    poly_reverse,
     reflect_family,
     search_strong_dts,
     sum_index_matrix,
@@ -48,6 +43,8 @@ from qccdts import (
 )
 from qccdts.cli import main
 from qccdts.tables import TABLE_ROWS
+
+from dense_arrays import block_toeplitz, coefficient_matrix
 
 
 def _verdict(number: int, slug: str, failures: list[str]) -> None:
@@ -210,7 +207,7 @@ def test_criterion_4_permutation_sweep():
                     for k in range(fam.size):
                         prod = products[(k, pi[k] - 1)]
                         for tau in range(-m, m + 1):
-                            if prod.coeff(m + tau) != prod.coeff(m - tau):
+                            if ((m + tau) in prod.support) != ((m - tau) in prod.support):
                                 cancels = False
                                 break
                         if not cancels:
@@ -254,7 +251,7 @@ def test_criterion_5_sum_index_symmetry():
             )
 
     example_x = _x_of(TABLE_ROWS[0])
-    got = [int(sum_index_matrix(example_x, s)[0, 0]) for s in range(5)]
+    got = [sum_index_matrix(example_x, s)[0][0] for s in range(5)]
     if got != [1, 0, 1, 0, 1]:
         failures.append(f"scalar sum-index sequence is {got}")
 
@@ -360,19 +357,17 @@ def test_criterion_8_randomized_invariants():
     # characteristic-2 polynomial laws: 3000 cases
     for _ in range(1000):
         p, q, r = (_random_poly(rng) for _ in range(3))
-        if poly_add(p, q) != poly_add(q, p) or poly_add(
-            poly_add(p, q), r
-        ) != poly_add(p, poly_add(q, r)):
+        if p + q != q + p or (p + q) + r != p + (q + r):
             failures.append(f"addition laws fail for {p}, {q}, {r}")
         cases += 1
     for _ in range(1000):
         p = _random_poly(rng)
-        if poly_add(p, p):
+        if p + p:
             failures.append(f"self-cancellation fails for {p}")
         cases += 1
     for _ in range(1000):
         p, q, r = (_random_poly(rng, max_weight=6, max_exp=32) for _ in range(3))
-        if poly_mul(p, poly_add(q, r)) != poly_add(poly_mul(p, q), poly_mul(p, r)):
+        if p * (q + r) != p * q + p * r:
             failures.append(f"distributivity fails for {p}, {q}, {r}")
         cases += 1
 
@@ -380,7 +375,7 @@ def test_criterion_8_randomized_invariants():
     for _ in range(2000):
         p = _random_poly(rng)
         window = (int(p.degree) if p else 0) + rng.randint(0, 10)
-        if poly_reverse(poly_reverse(p, window), window) != p:
+        if p.reverse(window).reverse(window) != p:
             failures.append(f"reversal involution fails for {p} in [0,{window}]")
         cases += 1
 

@@ -26,13 +26,11 @@ PUBLIC_NAMES = [
     "TableRow",
     "VerifyReport",
     "ZERO",
-    "block_toeplitz",
     "build_systematic_x",
     "build_z",
     "certify_dfree",
     "check_reflection_symmetry",
     "classify",
-    "coefficient_matrix",
     "column_distance",
     "dfree_exact",
     "dfree_upper",
@@ -42,9 +40,6 @@ PUBLIC_NAMES = [
     "mat_mul_transpose",
     "memory",
     "parity_supports",
-    "poly_add",
-    "poly_mul",
-    "poly_reverse",
     "positive_differences",
     "reflect_family",
     "rows_for",

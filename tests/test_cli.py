@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -8,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qccdts import cli, reflect
 from qccdts.cli import main
@@ -370,6 +374,72 @@ class TestInputTypes:
         assert err == f'error: "{key}" set [-1, 1] holds -1; 0-based elements start at 0\n'
 
 
+# Payloads for the input contract: a well-formed input whose fields are
+# each kept, dropped, or replaced by a wrong type, a null or a nested
+# value. Every integer stays in [-2, 12], so no exponent exceeds 12 and
+# each command runs in milliseconds.
+_small_int = st.integers(min_value=-2, max_value=12)
+_junk = st.recursive(
+    st.none() | st.booleans() | _small_int | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _payloads(draw):
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        return draw(_junk)
+    one_based = draw(st.booleans())
+    r = draw(st.integers(min_value=1, max_value=3))
+    w = draw(st.integers(min_value=1, max_value=4))
+    sets = st.lists(
+        st.lists(
+            st.integers(min_value=int(one_based), max_value=12),
+            min_size=w, max_size=w, unique=True,
+        ),
+        min_size=r, max_size=r,
+    )
+    fields = {
+        "T": sets,
+        "Z": sets,
+        "Z_expected": sets,
+        "pi": st.permutations(range(1, r + 1)).map(list),
+        "n": st.just(r + 1) | _small_int,
+        "m": _small_int,
+        "w": st.just(w) | _small_int,
+        "one_based": st.just(one_based),
+    }
+    payload = {}
+    for key, good in fields.items():
+        kind = draw(st.sampled_from(["good", "good", "absent", "absent", "junk"]))
+        # "T" is never dropped: without it every input stops at one check.
+        if kind == "good" or (key == "T" and kind == "absent"):
+            payload[key] = draw(good)
+        elif kind == "junk":
+            payload[key] = draw(_junk)
+    return payload
+
+
+@pytest.mark.parametrize("command", ["build", "reflect", "verify", "distance"])
+@settings(max_examples=150, deadline=None)
+@given(payload=_payloads(), as_json=st.booleans())
+def test_fuzzed_input_exits_0_1_or_2(tmp_path_factory, command, payload, as_json):
+    path = tmp_path_factory.getbasetemp() / f"fuzz_{command}.json"
+    path.write_text(json.dumps(payload))
+    argv = [command, "--input", str(path)] + ["--json"] * as_json
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (code, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1
+        assert err.getvalue().startswith("error: ")
+
+
 class TestInternalErrors:
     """A broken library invariant exits 3 with one line, not a traceback."""
 
@@ -660,52 +730,52 @@ def test_console_script_entry_point():
     assert '"sets": [[0, 1], [0, 2]]' in proc.stdout
 
 
-def _run_child(code: str, input_path: str) -> subprocess.CompletedProcess:
-    """Run ``code`` after a preamble that defines ``run(*argv)``: call
-    ``qccdts.cli.main`` in this child, assert exit 0, return its stdout."""
-    preamble = (
-        "import io, sys\n"
-        "from contextlib import redirect_stdout\n"
-        "import qccdts, qccdts.cli\n"
-        "path = sys.argv[1]\n"
-        "def run(*argv):\n"
-        "    out = io.StringIO()\n"
-        "    with redirect_stdout(out):\n"
-        "        assert qccdts.cli.main(list(argv)) == 0, argv\n"
-        "    return out.getvalue()\n"
-    )
-    return subprocess.run(
-        [sys.executable, "-c", preamble + code, input_path],
-        capture_output=True,
-        text=True,
-        env=_child_env(),
-    )
+# Runs every command in one child interpreter and prints, as JSON, each
+# argv with its exit code and stdout. With "block" as the second argument,
+# numpy cannot be imported in the child.
+_EVERY_COMMAND_CHILD = """
+import io, json, sys
+from contextlib import redirect_stdout
+if sys.argv[2] == "block":
+    sys.modules["numpy"] = None
+import qccdts.cli
+path = sys.argv[1]
+results = []
+for argv in (
+    ["build", "--input", path],
+    ["reflect", "--json", "--input", path],
+    ["verify", "--input", path],
+    ["verify", "--json", "--input", path],
+    ["distance", "--json", "--input", path],
+    ["tables"],
+    ["tables", "--json"],
+    ["search", "2", "2", "5"],
+    ["--help"],
+):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        try:
+            code = qccdts.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([argv, code, out.getvalue()])
+json.dump(results, sys.stdout)
+"""
 
 
-def test_commands_without_a7_never_import_numpy(example_input):
-    proc = _run_child(
-        "qccdts.cli.build_parser()\n"
-        'run("build", "--input", path)\n'
-        'run("reflect", "--input", path)\n'
-        'run("distance", "--json", "--input", path)\n'
-        'run("search", "2", "2", "5")\n'
-        'print("numpy" in sys.modules)\n',
-        example_input,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
-
-
-def test_verify_imports_numpy_with_unchanged_output(capsys, example_input):
-    _, expected, _ = run_cli(capsys, "verify", "--input", example_input)
-    proc = _run_child(
-        'print("numpy" in sys.modules)\n'
-        'sys.stdout.write(run("verify", "--input", path))\n'
-        'print("numpy" in sys.modules)\n',
-        example_input,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n" + expected + "True\n"
+def test_every_command_runs_without_numpy(example_input):
+    runs = {}
+    for mode in ("block", "allow"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _EVERY_COMMAND_CHILD, example_input, mode],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs[mode] = json.loads(proc.stdout)
+    assert runs["block"] == runs["allow"]
+    assert [code for _, code, _ in runs["block"]] == [0, 0, 0, 0, 0, 1, 1, 0, 0]
 
 
 def test_broken_pipe_exits_quietly():

@@ -9,16 +9,16 @@ from qccdts import (
     DtsClass,
     NonStrongFamilyWarning,
     PolyMatrix,
-    block_toeplitz,
     build_systematic_x,
     classify,
-    coefficient_matrix,
     is_csoc,
     memory,
     parity_supports,
     search_strong_dts,
 )
 from qccdts.tables import TABLE_ROWS
+
+from dense_arrays import block_toeplitz, coefficient_matrix
 
 
 class TestBuildSystematicX:

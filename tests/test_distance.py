@@ -9,7 +9,6 @@ import pytest
 from qccdts import (
     Method,
     PolyMatrix,
-    block_toeplitz,
     build_systematic_x,
     certify_dfree,
     classify,
@@ -22,6 +21,8 @@ from qccdts import (
     search_strong_dts,
 )
 from qccdts.tables import TABLE_ROWS
+
+from dense_arrays import block_toeplitz
 
 
 def _row(*supports) -> PolyMatrix:
