@@ -730,6 +730,42 @@ def test_console_script_entry_point():
     assert '"sets": [[0, 1], [0, 2]]' in proc.stdout
 
 
+def _run_child(code: str, input_path: str) -> subprocess.CompletedProcess:
+    """Run ``code`` after a preamble that defines ``run(*argv)``: call
+    ``qccdts.cli.main`` in this child, assert exit 0, return its stdout."""
+    preamble = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import qccdts, qccdts.cli\n"
+        "path = sys.argv[1]\n"
+        "def run(*argv):\n"
+        "    out = io.StringIO()\n"
+        "    with redirect_stdout(out):\n"
+        "        assert qccdts.cli.main(list(argv)) == 0, argv\n"
+        "    return out.getvalue()\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", preamble + code, input_path],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+
+
+def test_commands_without_a7_never_import_numpy(example_input):
+    proc = _run_child(
+        "qccdts.cli.build_parser()\n"
+        'run("build", "--input", path)\n'
+        'run("reflect", "--input", path)\n'
+        'run("distance", "--json", "--input", path)\n'
+        'run("search", "2", "2", "5")\n'
+        'print("numpy" in sys.modules)\n',
+        example_input,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 # Runs every command in one child interpreter and prints, as JSON, each
 # argv with its exit code and stdout. With "block" as the second argument,
 # numpy cannot be imported in the child.
