@@ -78,11 +78,6 @@ class SupportSet:
     def scope(self) -> int:
         return self.elements[-1]
 
-    def normalize(self) -> "SupportSet":
-        """Shift so the minimum element is 0; differences are unchanged."""
-        lo = self.elements[0]
-        return SupportSet(tuple(e - lo for e in self.elements))
-
     def reflect(self, window: int) -> "SupportSet":
         """Map every element a to window - a, through ``Gf2Poly.reverse``."""
         return SupportSet(self.to_poly().reverse(window).support)

@@ -73,10 +73,6 @@ class Gf2Poly:
     def __mul__(self, other: "Gf2Poly") -> "Gf2Poly":
         return Gf2Poly.from_exponents(a + b for a in self.support for b in other.support)
 
-    def shift(self, k: int) -> "Gf2Poly":
-        """Multiply by D^k."""
-        return Gf2Poly(tuple(e + k for e in self.support))
-
     def reverse(self, window: int) -> "Gf2Poly":
         """Reverse within the degree window [0, window]: a -> window - a.
 

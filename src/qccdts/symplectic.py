@@ -6,11 +6,20 @@ The sum-index matrices C_s count tap pairs (t, u) with t + u = s within
 each column, summed over columns; they are the coefficient bookkeeping
 behind the commutation condition for reflected pairs.
 
+Two identities make each C_s cheap. C_s is symmetric: swapping (t, u)
+maps the pairs counted for (a, b) onto those counted for (b, a), so each
+entry above the diagonal is counted once and mirrored. On the diagonal
+the ordered pairs with t != u come in twos and cancel mod 2, leaving
+C_s[a][a] = #{k : s even and s/2 in L_{a,k}} mod 2, one membership test
+per column.
+
 ``check_reflection_symmetry`` tests the identity C_s = C_{2M-s}^T on
 [0, 2M]. For a single systematic row this reduces to asking whether the
 per-delay column-occupancy parities form a palindrome over [0, M]; many
 self-orthogonal rows do not satisfy it, so a False result here does not
-contradict commutation of a properly permuted pair.
+contradict commutation of a properly permuted pair. Comparing s in
+[0, M] suffices: a mismatch C_s[a][b] != C_{2M-s}[b][a] at s > M is the
+same mismatch as (2M - s, b, a), which an ascending scan meets first.
 
 Following the entry permutation pi adds nothing to that identity. For
 one systematic row and Z = build_z(X, pi), the symplectic sum is
@@ -77,21 +86,33 @@ def sum_index_matrix(x: PolyMatrix, s: int) -> tuple[tuple[int, ...], ...]:
 
     Counts #{(t, u) in L_{a,k} x L_{b,k} : t + u = s} summed over every
     column k (the systematic identity column participates like any other,
-    with support {0}). The r x r result is a tuple of rows of 0/1 ints.
+    with support {0}). The r x r result is a tuple of rows of 0/1 ints,
+    exact for any integer s and any exponents, negative ones included.
+
+    The matrix is symmetric, so each entry with b > a is counted once and
+    mirrored. A diagonal entry needs only the pairs with t = u, since the
+    others cancel in twos: it is the parity of the columns whose support
+    holds s/2, and 0 for odd s.
     """
     rows = x.entries
-    return tuple(
-        tuple(
-            sum(
+    half = None if s % 2 else s // 2
+    diagonal = [
+        0 if half is None else sum(half in p.support for p in row) % 2
+        for row in rows
+    ]
+    if len(rows) == 1:  # every row `verify` checks: no entry off the diagonal
+        return ((diagonal[0],),)
+    out = [[0] * len(rows) for _ in rows]
+    for a, row_a in enumerate(rows):
+        out[a][a] = diagonal[a]
+        for b in range(a + 1, len(rows)):
+            out[a][b] = out[b][a] = sum(
                 1
-                for p, q in zip(row_a, row_b)
+                for p, q in zip(row_a, rows[b])
                 for t in p.support
                 if (s - t) in q.support
             ) % 2
-            for row_b in rows
-        )
-        for row_a in rows
-    )
+    return tuple(map(tuple, out))
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,7 +128,9 @@ def check_reflection_symmetry(
 
     The degree window M defaults to the maximum exponent of X; all
     entries must fit inside [0, M]. On failure the first witnessing
-    (s, a, b) is returned.
+    (s, a, b) of an ascending scan over [0, 2M] is returned. Only s in
+    [0, M] is compared: a mismatch at s > M reappears as (2M - s, b, a),
+    earlier in the scan, so the half scan finds the same first witness.
     """
     if window is None:
         if x.is_zero():
@@ -120,16 +143,20 @@ def check_reflection_symmetry(
             f"degree window violated: exponent {x.max_degree} exceeds {window}"
         )
 
-    top = 2 * window
     # All 2M+1 matrices are built before any comparison, so a failing row
     # costs as much as a passing one (the benchmark's tracer pins 2M+1 calls).
-    matrices = [sum_index_matrix(x, s) for s in range(top + 1)]
-    for s, lhs in enumerate(matrices):
-        rhs = matrices[top - s]
-        for a, row in enumerate(lhs):
-            for b, value in enumerate(row):
-                if value != rhs[b][a]:
-                    return ReflectionSymmetryReport(
-                        ok=False, counterexample=(s, a + 1, b + 1)
-                    )
+    matrices = [sum_index_matrix(x, s) for s in range(2 * window + 1)]
+    mirrored = reversed(matrices)
+    for s, (lhs, rhs) in enumerate(zip(matrices[: window + 1], mirrored)):
+        # rhs = C_{2M-s} is symmetric, so lhs == rhs is C_s = C_{2M-s}^T
+        if lhs != rhs:
+            a, b = next(
+                (a, b)
+                for a, row in enumerate(lhs)
+                for b, value in enumerate(row)
+                if value != rhs[b][a]
+            )
+            return ReflectionSymmetryReport(
+                ok=False, counterexample=(s, a + 1, b + 1)
+            )
     return ReflectionSymmetryReport(ok=True, counterexample=None)

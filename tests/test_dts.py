@@ -63,21 +63,6 @@ class TestPositiveDifferences:
         assert len(positive_differences(s)) == math.comb(w, 2)
 
 
-class TestNormalize:
-    def test_shifts_to_zero(self):
-        assert SupportSet((1, 2, 4)).normalize().elements == (0, 1, 3)
-
-    def test_already_normalized(self):
-        assert SupportSet((0, 5)).normalize().elements == (0, 5)
-
-    def test_larger_offset(self):
-        assert SupportSet((7, 9, 10)).normalize().elements == (0, 2, 3)
-
-    @given(support_sets)
-    def test_differences_invariant(self, s):
-        assert positive_differences(s.normalize()) == positive_differences(s)
-
-
 class TestFromOneBased:
     def test_basic(self):
         assert from_one_based((1, 5, 10)).elements == (0, 4, 9)

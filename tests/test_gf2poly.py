@@ -257,5 +257,5 @@ def test_reverse_is_involution(p, slack):
 @given(window_supports)
 def test_reverse_matches_shifted_inverse_substitution(p):
     window = int(p.degree) if p else 0
-    shifted = p.subst_inverse().shift(window)
+    shifted = Gf2Poly(tuple(e + window for e in p.subst_inverse().support))
     assert p.reverse(window) == shifted

@@ -53,6 +53,32 @@ def _dense_reflection_witness(x: PolyMatrix, window: int):
     return None
 
 
+def _full_scan_reflection_symmetry(x: PolyMatrix, window: int):
+    """The check as it was before the half scan: every s in [0, 2M] is
+    compared, in (s, a, b) order. Returns (ok, counterexample)."""
+    top = 2 * window
+    matrices = [_sum_index_oracle(x, s).tolist() for s in range(top + 1)]
+    for s, lhs in enumerate(matrices):
+        rhs = matrices[top - s]
+        for a, row in enumerate(lhs):
+            for b, value in enumerate(row):
+                if value != rhs[b][a]:
+                    return False, (s, a + 1, b + 1)
+    return True, None
+
+
+def _random_matrix(rng: random.Random, rows: int, cols: int, exponents) -> PolyMatrix:
+    return PolyMatrix.from_supports(
+        [
+            [
+                tuple(sorted(rng.sample(exponents, rng.randint(0, 3))))
+                for _ in range(cols)
+            ]
+            for _ in range(rows)
+        ]
+    )
+
+
 def _row(*supports) -> PolyMatrix:
     return PolyMatrix.from_supports([list(supports)])
 
@@ -143,19 +169,16 @@ class TestSumIndexMatrix:
         assert sum_index_matrix(example_x, s) == ((want,),)
 
     def test_matches_oracle_on_random_matrices(self):
+        """Exact for any s, negative exponents and s outside every tap sum
+        included: the symmetric and diagonal shortcuts change no entry."""
         rng = random.Random(5)
-        for _ in range(60):
-            r, n = rng.randint(1, 3), rng.randint(1, 4)
-            x = PolyMatrix.from_supports(
-                [
-                    [
-                        tuple(sorted(rng.sample(range(0, 8), rng.randint(0, 3))))
-                        for _ in range(n)
-                    ]
-                    for _ in range(r)
-                ]
-            )
-            for s in range(0, 15):
+        for _ in range(300):
+            r, n = rng.randint(1, 4), rng.randint(1, 5)
+            x = _random_matrix(rng, r, n, range(-4, 9))
+            if x.is_zero():
+                continue
+            lo, hi = int(x.min_exponent), int(x.max_degree)
+            for s in range(2 * lo - 2, 2 * max(hi, 0) + 3):
                 want = _sum_index_oracle(x, s).tolist()
                 assert sum_index_matrix(x, s) == tuple(map(tuple, want))
 
@@ -247,9 +270,81 @@ class TestReflectionSymmetry:
         # witnesses with a != b are the ones that pin the (a, b) order
         assert off_diagonal >= 20
 
+    def test_half_scan_matches_full_scan_reference(self):
+        """Comparing s in [0, M] only gives the verdict and first witness
+        of the full scan over [0, 2M]."""
+        rng = random.Random(29)
+        failing = off_diagonal = 0
+        for _ in range(2000):
+            x = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), range(7))
+            if x.is_zero():
+                continue
+            window = int(x.max_degree) + rng.randint(0, 2)
+            report = check_reflection_symmetry(x, window)
+            want = _full_scan_reflection_symmetry(x, window)
+            assert (report.ok, report.counterexample) == want
+            failing += not want[0]
+            off_diagonal += not want[0] and want[1][1] != want[1][2]
+        assert failing >= 1000 and off_diagonal >= 100
+
+    def test_mismatch_beyond_window_reported_as_its_mirror(self):
+        """C_5[2,1] != C_1[1,2] with M = 3: the full scan meets the same
+        mismatch first as (2M - 5, 1, 2) = (1, 1, 2)."""
+        x = PolyMatrix.from_supports([[(1, 2), ()], [(1, 3), (1, 3)]])
+        window, s, a, b = 3, 5, 2, 1
+        assert (
+            _sum_index_oracle(x, s)[a - 1, b - 1]
+            != _sum_index_oracle(x, 2 * window - s)[b - 1, a - 1]
+        )
+        mirror = (2 * window - s, b, a)
+        assert _full_scan_reflection_symmetry(x, window) == (False, mirror)
+        assert check_reflection_symmetry(x, window).counterexample == mirror
+
     def test_window_violation_rejected(self, example_x):
         with pytest.raises(ValueError, match="degree window"):
             check_reflection_symmetry(example_x, 1)
+
+
+class TestSumIndexCallCount:
+    """The A7 check builds every C_s, s in [0, 2M], before comparing, so a
+    row makes 2M + 1 ``sum_index_matrix`` calls whether it passes or
+    fails; the benchmark's traced self-check pins the same count."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import qccdts.symplectic
+
+        seen = []
+        kernel = qccdts.symplectic.sum_index_matrix
+
+        def counting(x, s):
+            seen.append(s)
+            return kernel(x, s)
+
+        monkeypatch.setattr(qccdts.symplectic, "sum_index_matrix", counting)
+        return seen
+
+    def test_passing_row(self, calls, example_x):
+        assert check_reflection_symmetry(example_x).ok
+        assert calls == list(range(5))
+
+    def test_row_failing_at_zero(self, calls):
+        report = check_reflection_symmetry(_row((0, 1), (1, 2), (0,)))
+        assert report.counterexample == (0, 1, 1)
+        assert calls == list(range(5))
+
+    def test_window_above_max_degree(self, calls, example_x):
+        check_reflection_symmetry(example_x, 6)
+        assert calls == list(range(13))
+
+    def test_verify_pair_on_catalogue_row(self, calls):
+        from qccdts import verify_pair
+
+        row = TABLE_ROWS[4]
+        x = PolyMatrix.from_supports([list(row.g_x) + [(0,)]])
+        z = PolyMatrix.from_supports([list(row.g_z) + [(0,)]])
+        verify_pair(x, z, expect_m=row.m, expect_w=row.w)
+        assert len(calls) == 2 * row.m + 1
 
 
 class TestCoefficientCrossCheck:
