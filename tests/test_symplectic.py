@@ -252,16 +252,7 @@ class TestReflectionSymmetry:
         rng = random.Random(23)
         off_diagonal = 0
         for _ in range(400):
-            r, n = rng.randint(1, 3), rng.randint(1, 4)
-            x = PolyMatrix.from_supports(
-                [
-                    [
-                        tuple(sorted(rng.sample(range(0, 7), rng.randint(0, 3))))
-                        for _ in range(n)
-                    ]
-                    for _ in range(r)
-                ]
-            )
+            x = _random_matrix(rng, rng.randint(1, 3), rng.randint(1, 4), range(7))
             if x.is_zero():
                 continue
             window = int(x.max_degree) + rng.randint(0, 2)
