@@ -31,7 +31,6 @@ from .dts import (
     SupportSet,
     classify,
     from_one_based,
-    positive_differences,
     search_strong_dts,
 )
 from .gf2poly import (
@@ -46,7 +45,6 @@ from .gf2poly import (
 from .reflect import (
     VerifyReport,
     build_z,
-    reflect_family,
     verify_pair,
 )
 from .symplectic import (
@@ -93,8 +91,6 @@ __all__ = [
     "mat_mul_transpose",
     "memory",
     "parity_supports",
-    "positive_differences",
-    "reflect_family",
     "rows_for",
     "search_strong_dts",
     "sum_index_matrix",

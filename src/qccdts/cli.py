@@ -42,7 +42,6 @@ from .csoc import (
 )
 from .distance import (
     MAX_EXACT_BUDGET,
-    MAX_EXACT_MEMORY,
     MAX_WINDOW_BITS,
     Method,
     certify_dfree,
@@ -307,11 +306,6 @@ def cmd_distance(args: argparse.Namespace) -> int:
         witness = [[t, list(bits)] for t, bits in cert.witness]
     else:
         budget = args.budget if args.budget is not None else MAX_EXACT_BUDGET
-        if budget > MAX_EXACT_BUDGET or mu > MAX_EXACT_MEMORY:
-            raise CliInputError(
-                f"exact search guards exceeded (budget <= {MAX_EXACT_BUDGET}, "
-                f"memory <= {MAX_EXACT_MEMORY})"
-            )
         found = dfree_exact(x, budget=budget)
         d_free = found if found is not None else f">{budget}"
         method = str(Method.EXACT_SEARCH)

@@ -4,17 +4,22 @@ Everything here works on the systematic single-parity-row form: the n-1
 information streams are free and the parity stream is their tap-filtered
 sum, so codewords are enumerated by information frames alone.
 
-Both searches run the parity row's encoder as a shift register: the last
-mu information frames live in one int, newest frame in the low bits, and
-all delayed taps in one mask, so each search node costs one popcount for
-the parity of the stored frames plus a table lookup per input frame,
-whatever the memory. The exact free-distance search is a bounded-weight
-depth-first search over frames (never a full state-space sweep): with
-budget b and memory mu, any codeword of weight <= b closes within
-b * (mu + 1) frames, because each nonzero input adds weight and gaps
-longer than mu flush the register to zero. It is guarded at budget
-MAX_EXACT_BUDGET and memory MAX_EXACT_MEMORY; column-distance windows are
-capped at MAX_WINDOW_BITS information bits.
+Both searches run the parity row's encoder as a shift register: the
+information frames a search looks back over live in one int, newest
+frame in the low bits, and the delayed taps within reach in one mask, so
+each search node costs one popcount for the parity of the stored frames
+plus a table lookup per input frame, whatever the memory. A column
+distance over window [0..j] holds min(mu, j) frames, so its cost does not
+grow with the largest exponent; the exact search holds mu. The exact
+free-distance search is a bounded-weight depth-first search over frames
+(never a full state-space sweep): with budget b and memory mu, any
+codeword of weight <= b closes within b * (mu + 1) frames, because each
+nonzero input adds weight and gaps longer than mu flush the register to
+zero. It is guarded at budget MAX_EXACT_BUDGET and memory
+MAX_EXACT_MEMORY, checked before any register is built; these guards
+live here only, and the CLI reports the ValueError of the one that
+tripped. Column-distance windows are capped at MAX_WINDOW_BITS
+information bits.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .csoc import is_csoc, memory, parity_supports, require_systematic
+from .csoc import is_csoc, memory, parity_supports
 from .gf2poly import PolyMatrix
 
 MAX_EXACT_BUDGET = 6
@@ -58,35 +63,37 @@ class DistanceCertificate:
     search_budget: int | None = None
 
 
-def _shift_register(x: PolyMatrix) -> tuple[int, int, int, int, list[int], list[int]]:
-    """The parity row's encoder as a shift register over information frames.
+def _shift_register(
+    supports: tuple[tuple[int, ...], ...], frames: int
+) -> tuple[int, int, list[int], list[int]]:
+    """The parity row's encoder as a shift register over ``frames`` frames.
 
-    The state packs the last mu frames into one int, the newest frame in
-    the low ``streams`` bits, so the frame at delay l >= 1 sits at bits
-    streams*(l-1) onward. Returns (streams, mu, keep, taps, pop, par0):
-    ``keep`` masks the state to mu frames, ``taps`` holds every delayed tap
-    at its state position, and for each input frame u, ``pop[u]`` is its
-    weight and ``par0[u]`` its delay-0 contribution to the parity bit. The
-    parity output for input u in state s is therefore
+    The state packs the last ``frames`` information frames into one int,
+    the newest frame in the low ``streams`` bits, so the frame at delay
+    l >= 1 sits at bits streams*(l-1) onward. Taps at delays beyond
+    ``frames`` are dropped: a search that never looks further back than
+    that many frames cannot reach them. Returns (keep, taps, pop, par0):
+    ``keep`` masks the state to ``frames`` frames, ``taps`` holds every
+    kept delayed tap at its state position, and for each input frame u,
+    ``pop[u]`` is its weight and ``par0[u]`` its delay-0 contribution to
+    the parity bit. The parity output for input u in state s is therefore
     ``((s & taps).bit_count() & 1) ^ par0[u]`` and the next state is
-    ``((s << streams) | u) & keep``; masking after the OR makes mu = 0 keep
-    no state at all.
+    ``((s << streams) | u) & keep``; masking after the OR makes a
+    zero-frame register keep no state at all.
     """
-    supports = parity_supports(x)
     streams = len(supports)
-    mu = max((max(s) for s in supports if s), default=0)
     taps = 0
     mask0 = 0
     for i, sup in enumerate(supports):
         for ell in sup:
-            if ell:
-                taps |= 1 << (streams * (ell - 1) + i)
-            else:
+            if not ell:
                 mask0 |= 1 << i
+            elif ell <= frames:
+                taps |= 1 << (streams * (ell - 1) + i)
     inputs = range(1 << streams)
     pop = [u.bit_count() for u in inputs]
     par0 = [(mask0 & u).bit_count() & 1 for u in inputs]
-    return streams, mu, (1 << streams * mu) - 1, taps, pop, par0
+    return (1 << streams * frames) - 1, taps, pop, par0
 
 
 def column_distance(h: PolyMatrix, j: int) -> int:
@@ -94,18 +101,20 @@ def column_distance(h: PolyMatrix, j: int) -> int:
 
     Exact: a depth-first search over information windows with running
     branch-and-bound pruning visits every window that could beat the
-    incumbent. Window size is capped to keep the search desk-scale.
+    incumbent. Window size is capped to keep the search desk-scale. A
+    window of j frames looks back at most j frames, so the register holds
+    min(mu, j) of them.
     """
-    require_systematic(h)
+    supports = parity_supports(h)
     if j < 0:
         raise ValueError("window index must be non-negative")
-    streams = h.ncols - 1
+    streams = len(supports)
     if (j + 1) * streams > MAX_WINDOW_BITS:
         raise ValueError(
             f"window too large for exact oracle: {(j + 1) * streams} information "
             f"bits exceeds {MAX_WINDOW_BITS}"
         )
-    streams, _, keep, taps, pop, par0 = _shift_register(h)
+    keep, taps, pop, par0 = _shift_register(supports, min(memory(h), j))
     inputs = range(1 << streams)
     best = (j + 2) * h.ncols  # above any achievable window weight
 
@@ -132,7 +141,6 @@ def dfree_upper(x: PolyMatrix) -> DistanceCertificate:
     weight equal to the tap count of x_i, so total weight w_i + 1. Ties
     are broken toward the smallest stream index.
     """
-    require_systematic(x)
     supports = parity_supports(x)
     weights = [len(s) for s in supports]
     stream = min(range(len(weights)), key=lambda i: (weights[i], i))
@@ -165,18 +173,20 @@ def dfree_exact(
     to all zero. The default horizon budget * (mu + 1) frames is enough
     for any codeword within budget; raise it only for diagnostics.
     """
-    require_systematic(x)
+    supports = parity_supports(x)
     if budget < 1:
         raise ValueError("budget must be positive")
     if budget > MAX_EXACT_BUDGET:
         raise ValueError(
             f"budget {budget} exceeds exact-search guard {MAX_EXACT_BUDGET}"
         )
-    streams, mu, keep, taps, pop, par0 = _shift_register(x)
+    mu = memory(x)
     if mu > MAX_EXACT_MEMORY:
         raise ValueError(
             f"memory {mu} exceeds exact-search guard {MAX_EXACT_MEMORY}"
         )
+    streams = len(supports)
+    keep, taps, pop, par0 = _shift_register(supports, mu)
     max_depth = horizon if horizon is not None else budget * (mu + 1)
     inputs = range(1 << streams)
     best = budget + 1

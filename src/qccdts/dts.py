@@ -78,10 +78,6 @@ class SupportSet:
     def scope(self) -> int:
         return self.elements[-1]
 
-    def reflect(self, window: int) -> "SupportSet":
-        """Map every element a to window - a, through ``Gf2Poly.reverse``."""
-        return SupportSet(self.to_poly().reverse(window).support)
-
     def to_poly(self) -> Gf2Poly:
         return Gf2Poly(self.elements)
 
@@ -96,12 +92,6 @@ def as_support(value: SupportLike) -> SupportSet:
     if isinstance(value, SupportSet):
         return value
     return SupportSet.from_iterable(value)
-
-
-def positive_differences(t: SupportLike) -> tuple[int, ...]:
-    """All C(w,2) pairwise positive differences, with multiplicity, sorted."""
-    pairs = itertools.combinations(as_support(t).elements, 2)
-    return tuple(sorted(b - a for a, b in pairs))
 
 
 def from_one_based(elements: Iterable[int]) -> SupportSet:

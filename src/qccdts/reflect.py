@@ -3,9 +3,8 @@
 Reflecting every exponent a to M - a (M the family scope) preserves all
 pairwise differences, so a strong family stays strong, scope and entry
 weights are unchanged, and the reflected polynomials are the window
-reversals D^M x(D^-1) of the originals. Both routes, ``build_z`` on
-polynomials and ``reflect_family`` on support sets, reverse through
-``Gf2Poly.reverse``.
+reversals D^M x(D^-1) of the originals. ``build_z`` reverses each
+parity entry through ``Gf2Poly.reverse``, the one reflection.
 
 Whether the resulting pair (X, Z) commutes symplectically depends on the
 entry permutation pi: the pair commutes exactly when the mod-2 product
@@ -27,20 +26,9 @@ from typing import Sequence
 
 from .csoc import is_csoc, memory, parity_supports, require_systematic
 from .distance import DistanceCertificate, certify_dfree
-from .dts import DtsClass, DtsFamily, classify
+from .dts import DtsClass, classify
 from .gf2poly import ONE, PolyMatrix
 from .symplectic import check_reflection_symmetry, is_commuting
-
-
-def reflect_family(family: DtsFamily) -> DtsFamily:
-    """Reflect every member set about the family scope, keeping its order.
-
-    The result is re-classified from scratch and keeps the original
-    difference spectrum, scope and classification. With the identity pi
-    its sets are the parity supports of :func:`build_z`.
-    """
-    # carry any explicit budget through so the classification is preserved
-    return classify([s.reflect(family.scope) for s in family.sets], budget=family.budget)
 
 
 def identity_permutation(streams: int) -> tuple[int, ...]:

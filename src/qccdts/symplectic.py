@@ -40,13 +40,13 @@ from .gf2poly import PolyMatrix, mat_mul_transpose
 
 @dataclass(frozen=True, slots=True)
 class SymplecticReport:
-    """The symplectic sum, its verdict, and any nonzero coefficients.
+    """The commutation verdict and the nonzero coefficients of the sum.
 
     Violations are (s, i, j) triples, 1-based, meaning the coefficient of
-    D^s at entry (i, j) of the sum is 1; empty iff the pair commutes.
+    D^s at entry (i, j) of the symplectic sum is 1; empty iff the pair
+    commutes.
     """
 
-    s: PolyMatrix
     commuting: bool
     violations: tuple[tuple[int, int, int], ...]
 
@@ -76,9 +76,7 @@ def is_commuting(x: PolyMatrix, z: PolyMatrix) -> SymplecticReport:
             for e in s.entry(i, j).support:
                 violations.append((e, i + 1, j + 1))
     violations.sort()
-    return SymplecticReport(
-        s=s, commuting=not violations, violations=tuple(violations)
-    )
+    return SymplecticReport(commuting=not violations, violations=tuple(violations))
 
 
 def sum_index_matrix(x: PolyMatrix, s: int) -> tuple[tuple[int, ...], ...]:

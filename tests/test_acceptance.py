@@ -36,7 +36,6 @@ from qccdts import (
     is_csoc,
     memory,
     parity_supports,
-    reflect_family,
     search_strong_dts,
     sum_index_matrix,
     symplectic_sum,
@@ -45,6 +44,7 @@ from qccdts.cli import main
 from qccdts.tables import TABLE_ROWS
 
 from dense_arrays import block_toeplitz, coefficient_matrix
+from references import reflect_family
 
 
 def _verdict(number: int, slug: str, failures: list[str]) -> None:

@@ -376,8 +376,12 @@ class TestInputTypes:
 
 # Payloads for the input contract: a well-formed input whose fields are
 # each kept, dropped, or replaced by a wrong type, a null or a nested
-# value. Every integer stays in [-2, 12], so no exponent exceeds 12 and
-# each command runs in milliseconds.
+# value. Set elements stay at or below a per-command exponent ceiling and
+# every other integer in [-2, 12]. Time and memory must follow the size of
+# the input, not its exponents, so build, reflect and distance draw
+# exponents up to 10^9; verify stays at 12, since its A7 check builds 2M+1
+# sum-index matrices.
+EXPONENT_CEILING = {"build": 10**9, "reflect": 10**9, "verify": 12, "distance": 10**9}
 _small_int = st.integers(min_value=-2, max_value=12)
 _junk = st.recursive(
     st.none() | st.booleans() | _small_int | st.floats(allow_nan=False)
@@ -389,7 +393,7 @@ _junk = st.recursive(
 
 
 @st.composite
-def _payloads(draw):
+def _payloads(draw, ceiling):
     if draw(st.integers(min_value=0, max_value=9)) == 0:
         return draw(_junk)
     one_based = draw(st.booleans())
@@ -397,7 +401,7 @@ def _payloads(draw):
     w = draw(st.integers(min_value=1, max_value=4))
     sets = st.lists(
         st.lists(
-            st.integers(min_value=int(one_based), max_value=12),
+            st.integers(min_value=int(one_based), max_value=ceiling),
             min_size=w, max_size=w, unique=True,
         ),
         min_size=r, max_size=r,
@@ -423,10 +427,11 @@ def _payloads(draw):
     return payload
 
 
-@pytest.mark.parametrize("command", ["build", "reflect", "verify", "distance"])
+@pytest.mark.parametrize("command", list(EXPONENT_CEILING))
 @settings(max_examples=150, deadline=None)
-@given(payload=_payloads(), as_json=st.booleans())
-def test_fuzzed_input_exits_0_1_or_2(tmp_path_factory, command, payload, as_json):
+@given(data=st.data(), as_json=st.booleans())
+def test_fuzzed_input_exits_0_1_or_2(tmp_path_factory, command, data, as_json):
+    payload = data.draw(_payloads(EXPONENT_CEILING[command]), label="payload")
     path = tmp_path_factory.getbasetemp() / f"fuzz_{command}.json"
     path.write_text(json.dumps(payload))
     argv = [command, "--input", str(path)] + ["--json"] * as_json
@@ -490,6 +495,34 @@ class TestDistance:
         # impulse gives 1 + wt(1+D+D^2) = 4; no input beats it since
         # wt(u) + wt(g u) stays >= 4 for every nonzero u (parity at D=1)
         assert payload["d_free"] == 4
+
+    @pytest.mark.parametrize(
+        "sets, argv, message",
+        [
+            ([[0, 1, 2], [0, 3, 13]], [], "memory 13 exceeds exact-search guard 12"),
+            ([[0, 1, 2], [0, 3, 5]], ["--budget", "7"], "budget 7 exceeds exact-search guard 6"),
+            ([[0, 1, 2], [0, 3, 5]], ["--budget", "0"], "budget must be positive"),
+        ],
+        ids=["memory", "budget", "non-positive budget"],
+    )
+    def test_exact_search_guard_names_itself(self, capsys, tmp_path, sets, argv, message):
+        path = tmp_path / "colliding.json"
+        path.write_text(json.dumps({"T": sets, "one_based": False}))
+        code, out, err = run_cli(capsys, "distance", "--input", str(path), *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("far", [10**7, 10**9], ids=["1e7", "1e9"])
+    def test_far_tap_prints_what_a_near_one_does(self, capsys, tmp_path, far):
+        # T = {0,1,3}; {0,4,e} is CSOC for any e > 8, and the profile stops
+        # at the 45-bit window cap (j = 21), long before a window reaches e.
+        outputs = []
+        for e in (10**5, far):
+            path = tmp_path / f"far_{e}.json"
+            path.write_text(json.dumps({"T": [[0, 1, 3], [0, 4, e]], "one_based": False}))
+            code, out, err = run_cli(capsys, "distance", "--input", str(path), "--json")
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "case", DISTANCE_CASES, ids=[case["name"] for case in DISTANCE_CASES]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,20 @@ class TestColumnDistance:
             column_distance(example_x, 23)
         with pytest.raises(ValueError):
             column_distance(example_x, -1)
+
+    def test_far_tap_costs_no_memory(self):
+        # A window of j frames never reaches a tap at delay 10^7, so the
+        # search must not hold a register sized by it (45 MB if it did).
+        near = _row((0, 1, 3), (0, 4, 10**5), (0,))
+        far = _row((0, 1, 3), (0, 4, 10**7), (0,))
+        tracemalloc.start()
+        try:
+            profile = [column_distance(far, j) for j in range(8)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert profile == [column_distance(near, j) for j in range(8)]
 
     def test_monotone_and_bounded(self, example_x):
         cert = certify_dfree(example_x)

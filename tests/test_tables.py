@@ -14,9 +14,10 @@ from qccdts import (
     is_commuting,
     is_csoc,
     memory,
-    reflect_family,
 )
 from qccdts.tables import TABLE_ROWS, rows_for, validate_tables
+
+from references import reflect_family
 
 
 def _x_of(row) -> PolyMatrix:
