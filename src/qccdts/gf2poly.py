@@ -188,17 +188,24 @@ def mat_mul_transpose(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Compute A(D) * B(D^-1)^T.
 
     This is the building block of the symplectic product: both matrices
-    must have the same column count; the result is r_A x r_B.
+    must have the same column count; the result is r_A x r_B. Entry
+    (i, j) is built in one pass, from the differences t - u over the tap
+    pairs of row i of A and row j of B in each shared column, folded
+    mod 2.
     """
     if a.ncols != b.ncols:
         raise ValueError(f"column counts differ: {a.ncols} vs {b.ncols}")
-    out = []
-    for row_a in a.entries:
-        row = []
-        for row_b in b.entries:
-            acc = ZERO
-            for p, q in zip(row_a, row_b):
-                acc = acc + p * q.subst_inverse()
-            row.append(acc)
-        out.append(tuple(row))
-    return PolyMatrix(tuple(out))
+    return PolyMatrix(
+        tuple(
+            tuple(
+                Gf2Poly.from_exponents(
+                    t - u
+                    for p, q in zip(row_a, row_b)
+                    for t in p.support
+                    for u in q.support
+                )
+                for row_b in b.entries
+            )
+            for row_a in a.entries
+        )
+    )

@@ -11,7 +11,11 @@ maps the pairs counted for (a, b) onto those counted for (b, a), so each
 entry above the diagonal is counted once and mirrored. On the diagonal
 the ordered pairs with t != u come in twos and cancel mod 2, leaving
 C_s[a][a] = #{k : s even and s/2 in L_{a,k}} mod 2, one membership test
-per column.
+per column. A one-row X, the only shape ``verify`` and ``tables`` check,
+has nothing but that entry: an odd s returns a shared ((0,),) at once,
+and an even s counts the columns holding s >> 1 in a plain loop and
+returns a shared ((1,),) or ((0,),) by its parity, so each call costs
+a few integer operations and allocates nothing.
 
 ``check_reflection_symmetry`` tests the identity C_s = C_{2M-s}^T on
 [0, 2M]. For a single systematic row this reduces to asking whether the
@@ -79,6 +83,11 @@ def is_commuting(x: PolyMatrix, z: PolyMatrix) -> SymplecticReport:
     return SymplecticReport(commuting=not violations, violations=tuple(violations))
 
 
+# The two 1 x 1 results, shared by every one-row call.
+_ZERO_1X1 = ((0,),)
+_ONE_1X1 = ((1,),)
+
+
 def sum_index_matrix(x: PolyMatrix, s: int) -> tuple[tuple[int, ...], ...]:
     """Entry (a,b): parity of tap pairs summing to s, over shared columns.
 
@@ -90,16 +99,24 @@ def sum_index_matrix(x: PolyMatrix, s: int) -> tuple[tuple[int, ...], ...]:
     The matrix is symmetric, so each entry with b > a is counted once and
     mirrored. A diagonal entry needs only the pairs with t = u, since the
     others cancel in twos: it is the parity of the columns whose support
-    holds s/2, and 0 for odd s.
+    holds s/2, and 0 for odd s. A one-row X returns one of two shared
+    1 x 1 tuples; ``s & 1`` and ``s >> 1`` stay exact for negative s.
     """
     rows = x.entries
+    if len(rows) == 1:  # every row `verify` checks: only the diagonal entry
+        if s & 1:
+            return _ZERO_1X1
+        half = s >> 1
+        count = 0
+        for p in rows[0]:
+            if half in p.support:
+                count += 1
+        return _ONE_1X1 if count & 1 else _ZERO_1X1
     half = None if s % 2 else s // 2
     diagonal = [
         0 if half is None else sum(half in p.support for p in row) % 2
         for row in rows
     ]
-    if len(rows) == 1:  # every row `verify` checks: no entry off the diagonal
-        return ((diagonal[0],),)
     out = [[0] * len(rows) for _ in rows]
     for a, row_a in enumerate(rows):
         out[a][a] = diagonal[a]

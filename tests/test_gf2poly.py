@@ -158,8 +158,11 @@ class TestMatMulTranspose:
             mat_mul_transpose(example_x, short)
 
     def test_against_counting_oracle(self):
+        """Laurent exponents, zero entries and several rows on each side:
+        every entry equals the parity count of t - u over the tap pairs."""
         rng = np.random.default_rng(20240819)
-        for _ in range(50):
+        negative = zero_entries = multi_row = 0
+        for _ in range(200):
             ra, rb, n = rng.integers(1, 4, size=3)
             def rand_matrix(r):
                 return PolyMatrix.from_supports(
@@ -167,7 +170,7 @@ class TestMatMulTranspose:
                         [
                             sorted(
                                 rng.choice(
-                                    np.arange(0, 9),
+                                    np.arange(-8, 9),
                                     size=rng.integers(0, 4),
                                     replace=False,
                                 ).tolist()
@@ -179,9 +182,16 @@ class TestMatMulTranspose:
                 )
             a, b = rand_matrix(ra), rand_matrix(rb)
             got = mat_mul_transpose(a, b)
+            assert (got.nrows, got.ncols) == (a.nrows, b.nrows)
             want = _mmt_oracle(a, b)
             for (i, j), sup in want.items():
                 assert set(got.entry(i, j).support) == sup
+            negative += min(a.min_exponent, b.min_exponent) < 0
+            zero_entries += any(
+                p.is_zero() for m in (a, b) for row in m.entries for p in row
+            )
+            multi_row += a.nrows > 1 and b.nrows > 1
+        assert min(negative, zero_entries, multi_row) >= 50
 
 
 class TestCoefficientMatrix:

@@ -184,6 +184,39 @@ class TestSumIndexMatrix:
                 want = _sum_index_oracle(x, s).tolist()
                 assert sum_index_matrix(x, s) == tuple(map(tuple, want))
 
+    def test_one_row_at_large_and_negative_s(self):
+        """A one-row X reaching 10^4, identity column included: every s
+        near 0 (negative ones too), near 2M and beyond 2M, odd and even,
+        gives the direct tap-pair count."""
+        rng = random.Random(31)
+        top = 10_000
+        rows = [_row((0, 1, 3, 9998, top), (0, 2, 9999, top), (0,))]
+        for _ in range(5):
+            columns = [
+                tuple(sorted(rng.sample(range(top), rng.randint(1, 6)) + [top]))
+                for _ in range(rng.randint(1, 4))
+            ]
+            rows.append(_row(*columns, (0,)))
+        for x in rows:
+            window = int(x.max_degree)
+            assert window == top
+            ones = 0
+            for centre in (0, 2 * window, 4 * window, 10**9):
+                for s in range(centre - 7, centre + 8):
+                    want = _sum_index_oracle(x, s).tolist()
+                    assert sum_index_matrix(x, s) == tuple(map(tuple, want))
+                    ones += want == [[1]]
+            assert ones >= 1
+        # the hand-built row: s/2 = 0 lies in three columns, 1, 2, 3, 9998
+        # and 9999 in one, 10^4 in two
+        x = rows[0]
+        assert [sum_index_matrix(x, s)[0][0] for s in range(-2, 8)] == [
+            0, 0, 1, 0, 1, 0, 1, 0, 1, 0
+        ]
+        assert [
+            sum_index_matrix(x, s)[0][0] for s in range(19_994, 20_003)
+        ] == [0, 0, 1, 0, 1, 0, 0, 0, 0]
+
     def test_identity_column_counts_like_any_other(self):
         with_id = _row((0, 1), (0,))
         without = _row((0, 1))
@@ -244,6 +277,48 @@ class TestReflectionSymmetry:
             ]
             palindromic = occupancy == occupancy[::-1]
             assert check_reflection_symmetry(x, window).ok == palindromic
+
+    def test_wide_scale_matches_palindromic_occupancy(self):
+        """One-row X with memory in the thousands, as `verify` checks on
+        the wide benchmark rows: the verdict and witness are those of the
+        occupancy palindrome. With parity[d] the number of columns holding
+        d, mod 2, the first mismatch is the smallest d with parity[d] !=
+        parity[M - d], reported as (2d, 1, 1)."""
+        rng = random.Random(37)
+        passing = failing = late = 0
+        for trial in range(24):
+            window = rng.randint(1000, 5000)
+            columns = []
+            for _ in range(rng.randint(2, 4)):
+                taps = set(rng.sample(range(window + 1), rng.randint(1, 4)))
+                # mirrored columns make the occupancy a palindrome
+                columns.append(taps | {window - t for t in taps})
+            columns[0] |= {0, window}
+            if trial % 3:
+                # flip one tap; a flip at d = M/2 keeps the palindrome
+                k = rng.randrange(len(columns))
+                d = (
+                    window // 2 - rng.randint(0, 2)
+                    if trial % 3 == 2
+                    else rng.randint(0, window)
+                )
+                columns[k] ^= {d}
+            x = _row(*(sorted(c) for c in columns))
+            parity = [0] * (window + 1)
+            for c in columns:
+                for t in c:
+                    parity[t] ^= 1
+            d = next(
+                (d for d in range(window + 1) if parity[d] != parity[window - d]),
+                None,
+            )
+            want = None if d is None else (2 * d, 1, 1)
+            report = check_reflection_symmetry(x, window)
+            assert (report.ok, report.counterexample) == (want is None, want)
+            passing += want is None
+            failing += want is not None
+            late += want is not None and want[0] > window - 6
+        assert passing >= 8 and failing >= 8 and late >= 4
 
     def test_multi_row_counterexample_matches_dense_reference(self):
         """Verdict and first witness agree with the dense algorithm: the
