@@ -7,8 +7,11 @@ inconsistent built-in catalogue), reported as one ``internal error:`` line.
 A reader that closes stdout early (``qccdts search ... | head``) ends the
 command quietly with exit 0.
 
-``main`` builds only the subparser that its first argument names; no
-argument, ``-h``, ``--help``, ``--version`` or an unknown command build all six.
+``main`` parses ``qccdts <command> ...`` with that command's parser alone.
+The full tree of all six commands is built only when there is no
+argument or the first is not a command (``-h``, ``--help``, ``--version``,
+a typo), and to report arguments the command's parser leaves over, so
+those messages keep the top-level usage line.
 
 Input JSON schema (all commands that take ``--input``):
 
@@ -498,56 +501,75 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser for ``argv``, with only the subparser that ``argv[0]`` names.
-
-    All six are built when ``argv`` is empty or None or ``argv[0]`` names no
-    command (``-h``, ``--help``, ``--version``, a typo): help and usage list them.
-    """
-
-    def add_io(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--input", required=True, help="code description JSON file")
-        convention = p.add_mutually_exclusive_group()
-        convention.add_argument(
-            "--one-based", dest="one_based", action="store_true", default=None,
-            help="treat input sets as 1-based (table convention)",
-        )
-        convention.add_argument(
-            "--zero-based", dest="one_based", action="store_false",
-            help="treat input sets as 0-based exponents",
-        )
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-
-    def add_distance(p: argparse.ArgumentParser) -> None:
-        add_io(p)
-        p.add_argument(
-            "--budget", type=int, default=None,
-            help="weight budget for the exact search on non-self-orthogonal input",
-        )
-
-    def add_tables(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--table", type=int, default=None, choices=(1, 2, 3))
-        p.add_argument("--row", type=int, default=None)
-        p.add_argument("--json", action="store_true")
-
-    def add_search(p: argparse.ArgumentParser) -> None:
-        p.add_argument("r", type=int, help="number of sets")
-        p.add_argument("w", type=int, help="set weight")
-        p.add_argument("max_scope", type=int, help="largest allowed exponent")
-        p.add_argument("--full-strong", action="store_true")
-        p.add_argument(
-            "--limit", type=int, default=None,
-            help="print at most this many families (0 prints none)",
-        )
-
-    commands = (  # in the order --help lists them
-        ("build", "build X(D), Z(D) and parameters", add_io, cmd_build),
-        ("reflect", "reflect a family into its Z supports", add_io, cmd_reflect),
-        ("verify", "run the full certification suite", add_io, cmd_verify),
-        ("distance", "free distance and column distances", add_distance, cmd_distance),
-        ("tables", "re-verify the built-in catalogue", add_tables, cmd_tables),
-        ("search", "enumerate strong families", add_search, cmd_search),
+def _add_io(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True, help="code description JSON file")
+    convention = p.add_mutually_exclusive_group()
+    convention.add_argument(
+        "--one-based", dest="one_based", action="store_true", default=None,
+        help="treat input sets as 1-based (table convention)",
     )
+    convention.add_argument(
+        "--zero-based", dest="one_based", action="store_false",
+        help="treat input sets as 0-based exponents",
+    )
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+
+
+def _add_distance(p: argparse.ArgumentParser) -> None:
+    _add_io(p)
+    p.add_argument(
+        "--budget", type=int, default=None,
+        help="weight budget for the exact search on non-self-orthogonal input",
+    )
+
+
+def _add_tables(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--table", type=int, default=None, choices=(1, 2, 3))
+    p.add_argument("--row", type=int, default=None)
+    p.add_argument("--json", action="store_true")
+
+
+def _add_search(p: argparse.ArgumentParser) -> None:
+    p.add_argument("r", type=int, help="number of sets")
+    p.add_argument("w", type=int, help="set weight")
+    p.add_argument("max_scope", type=int, help="largest allowed exponent")
+    p.add_argument("--full-strong", action="store_true")
+    p.add_argument(
+        "--limit", type=int, default=None,
+        help="print at most this many families (0 prints none)",
+    )
+
+
+# name -> (help, configure, handler), in the order --help lists them.
+_COMMANDS = {
+    "build": ("build X(D), Z(D) and parameters", _add_io, cmd_build),
+    "reflect": ("reflect a family into its Z supports", _add_io, cmd_reflect),
+    "verify": ("run the full certification suite", _add_io, cmd_verify),
+    "distance": ("free distance and column distances", _add_distance, cmd_distance),
+    "tables": ("re-verify the built-in catalogue", _add_tables, cmd_tables),
+    "search": ("enumerate strong families", _add_search, cmd_search),
+}
+
+
+def _fill(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give ``p`` the arguments of command ``name``; parsing names it ``command``."""
+    _, configure, handler = _COMMANDS[name]
+    configure(p)
+    p.set_defaults(func=handler, command=name)
+    return p
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for ``argv``.
+
+    When ``argv[0]`` names a command, this is that command's parser alone,
+    a standalone ``qccdts <command>`` parser for ``argv[1:]``, just as the
+    full tree would build it. Otherwise (``argv`` empty or None, ``-h``,
+    ``--help``, ``--version``, a typo) it is the full tree: the top-level
+    parser with all six subparsers, which help and usage list.
+    """
+    if argv and argv[0] in _COMMANDS:
+        return _fill(argparse.ArgumentParser(prog=f"qccdts {argv[0]}"), argv[0])
     parser = argparse.ArgumentParser(
         prog="qccdts",
         description=(
@@ -556,20 +578,21 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
-    named = [c for c in commands if argv and c[0] == argv[0]]
-    # Alone, one subparser would make the top-level usage line list only it.
-    metavar = "{" + ",".join(c[0] for c in commands) + "}" if named else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, help_text, configure, handler in named or commands:
-        p = sub.add_parser(name, help=help_text)
-        configure(p)
-        p.set_defaults(func=handler)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    if argv and argv[0] in _COMMANDS:
+        args, extra = build_parser(argv).parse_known_args(argv[1:])
+        if extra:
+            # The full tree reports them, with its usage line, and exits 2.
+            args = build_parser().parse_args(argv)
+    else:
+        args = build_parser(argv).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -101,7 +101,8 @@ def column_distance(h: PolyMatrix, j: int) -> int:
 
     Exact: a depth-first search over information windows with running
     branch-and-bound pruning visits every window that could beat the
-    incumbent. Window size is capped to keep the search desk-scale. A
+    incumbent, which starts at the lightest truncated impulse. Window size
+    is capped to keep the search desk-scale. A
     window of j frames looks back at most j frames, so the register holds
     min(mu, j) of them.
     """
@@ -116,7 +117,10 @@ def column_distance(h: PolyMatrix, j: int) -> int:
         )
     keep, taps, pop, par0 = _shift_register(supports, min(memory(h), j))
     inputs = range(1 << streams)
-    best = (j + 2) * h.ncols  # above any achievable window weight
+    # The lightest truncated impulse: one bit on stream i at time 0 and its
+    # parity taps at delays <= j. It is a window with a nonzero first block,
+    # so the search below only has to look for lighter ones.
+    best = min(1 + sum(t <= j for t in sup) for sup in supports)
 
     def descend(t: int, state: int, weight: int) -> None:
         nonlocal best

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -621,6 +622,138 @@ def test_usage_matches_recording(capsys, monkeypatch, case):
     assert (exited.value.code, captured.out, captured.err) == (
         case["exit"], case["stdout"], case["stderr"]
     )
+
+
+# Argument vectors that `main` parses with one command's parser alone must
+# parse as the full tree parses them. The corpus holds abbreviations,
+# `--opt=value`, `--`, `-h` after options, `--version` after a command,
+# repeated, conflicting and unknown options, extra and missing positionals
+# and values, for every command, and the argv that build the full tree.
+PARSER_CORPUS = [
+    ["build", "--input", "in.json"],
+    ["build", "--inp", "in.json", "--json"],
+    ["build", "--input=in.json", "--zero-based"],
+    ["build", "--input", "a.json", "--input", "b.json"],
+    ["build", "--one-based", "--zero-based", "--input", "in.json"],
+    ["build", "--input"],
+    ["build", "-h"],
+    ["reflect", "--input", "in.json", "--json", "-h"],
+    ["reflect", "--input", "in.json", "--version"],
+    ["reflect", "--input", "in.json", "extra"],
+    ["reflect", "--", "--input", "in.json"],
+    ["reflect", "--input", "in.json", "--one"],
+    ["verify", "--input", "in.json", "--bogus"],
+    ["verify", "--input", "in.json", "--bogus=1", "pos"],
+    ["verify", "--in", "in.json"],
+    ["verify", "--input", "--json"],
+    ["verify", "--input", "in.json", "--", "extra"],
+    ["verify", "--js", "--input", "in.json"],
+    ["verify", "--json", "--json", "--input", "in.json"],
+    ["verify", "--version"],
+    ["verify"],
+    ["distance", "--input", "in.json", "--budget", "4"],
+    ["distance", "--input", "in.json", "--budget=x"],
+    ["distance", "--bud", "3", "--input", "in.json"],
+    ["distance", "--input", "in.json", "--budget", "-1"],
+    ["distance", "--budget"],
+    ["distance", "--input", "in.json", "--help", "--bogus"],
+    ["tables"],
+    ["tables", "--table", "2", "--row", "3", "--json"],
+    ["tables", "--table=9"],
+    ["tables", "--t", "1"],
+    ["tables", "extra", "--json"],
+    ["tables", "--row", "1", "--row", "2"],
+    ["tables", "-h", "--bogus"],
+    ["search", "2", "2", "5"],
+    ["search", "2", "2", "5", "--full-strong", "--limit", "3"],
+    ["search", "--limit=2", "2", "2", "5"],
+    ["search", "2", "2"],
+    ["search", "2", "2", "5", "6"],
+    ["search", "--", "2", "2", "5"],
+    ["search", "2", "-1", "5"],
+    ["search", "2", "2", "5", "--fu", "--li", "0"],
+    ["search", "2", "2", "5", "--limit"],
+    [],
+    ["-h"],
+    ["--version"],
+    ["bogus"],
+    ["ver"],
+    ["--bogus", "verify"],
+    ["Verify", "--input", "in.json"],
+]
+
+
+def _parse_outcome(capsys, parse):
+    """("args", namespace) or ("exit", code, stdout, stderr) of ``parse()``."""
+    try:
+        outcome = ("args", vars(parse()))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return outcome + (captured.out, captured.err)
+
+
+def test_parser_corpus_hits_every_command():
+    assert {argv[0] for argv in PARSER_CORPUS if argv} >= set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+def test_main_parses_as_the_full_tree(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    parsed = []
+
+    def record(args):
+        parsed.append(args)
+        return 0
+
+    # Every handler records its namespace in place of running the command.
+    monkeypatch.setattr(cli, "_COMMANDS", {
+        name: (help_text, configure, record)
+        for name, (help_text, configure, _) in cli._COMMANDS.items()
+    })
+
+    def through_main():
+        assert main(list(argv)) == 0
+        return parsed.pop()
+
+    got = _parse_outcome(capsys, through_main)
+    want = _parse_outcome(capsys, lambda: cli.build_parser().parse_args(list(argv)))
+    assert got == want
+
+
+def test_command_parser_stands_alone():
+    parser = cli.build_parser(["verify"])
+    assert parser.prog == "qccdts verify"
+    assert not any(
+        isinstance(action, argparse._SubParsersAction) for action in parser._actions
+    )
+
+
+@pytest.mark.parametrize("argv", [None, [], ["-h"], ["--version"], ["ver"]], ids=str)
+def test_full_tree_lists_every_command(argv):
+    parser = cli.build_parser(argv)
+    assert parser.prog == "qccdts"
+    (sub,) = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert list(sub.choices) == [
+        "build", "reflect", "verify", "distance", "tables", "search",
+    ]
+
+
+def test_a_command_builds_one_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["search", "2", "2", "5"]) == 0
+    assert built == ["qccdts search"]
+    assert capsys.readouterr().out  # the families were printed
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from qccdts import (
     parity_supports,
     search_strong_dts,
 )
+from qccdts.distance import MAX_WINDOW_BITS
 from qccdts.tables import TABLE_ROWS
 
 from dense_arrays import block_toeplitz
@@ -50,6 +51,40 @@ def _column_distance_bruteforce(x: PolyMatrix, j: int) -> int:
                         p ^= u[t - ell][i]
             weight += p
         best = weight if best is None else min(best, weight)
+    return best
+
+
+def _truncated_impulse(x: PolyMatrix, j: int) -> int:
+    """Window-[0..j] weight of the lightest single-bit input at time 0."""
+    return min(1 + sum(ell <= j for ell in sup) for sup in parity_supports(x))
+
+
+def _column_distance_light(x: PolyMatrix, j: int) -> int:
+    """Column distance by enumerating only the light information windows.
+
+    A window of information weight k weighs at least k. Every window with a
+    nonzero first block and information weight <= K is enumerated, where K
+    is the fewest taps at delay <= j on any stream (at least 1); the
+    minimum m found is exact when m <= K + 1, which is asserted. Reaches
+    windows far beyond ``_column_distance_bruteforce``.
+    """
+    supports = parity_supports(x)
+    streams = len(supports)
+    window = (1 << (j + 1)) - 1
+    taps = [sum(1 << ell for ell in sup) for sup in supports]
+    most = max(1, min(sum(ell <= j for ell in sup) for sup in supports))
+    cells = [(t, i) for t in range(j + 1) for i in range(streams)]
+    best = None
+    for first in range(streams):  # one bit in the first block ...
+        rest = [c for c in cells if c != (0, first)]
+        for k in range(most):  # ... and k more anywhere
+            for combo in itertools.combinations(rest, k):
+                parity = taps[first]
+                for t, i in combo:
+                    parity ^= taps[i] << t
+                weight = 1 + k + (parity & window).bit_count()
+                best = weight if best is None else min(best, weight)
+    assert best <= most + 1, "enumeration too shallow to be exact"
     return best
 
 
@@ -89,10 +124,17 @@ def _within(weight: int | None, budget: int) -> int | None:
     return weight if weight is not None and weight <= budget else None
 
 
-def _random_row(rng: random.Random, streams: int, mu: int) -> PolyMatrix:
-    """Random parity row of exactly this memory; differences may repeat."""
+def _random_row(
+    rng: random.Random, streams: int, mu: int, taps: tuple[int, int] = (1, 3)
+) -> PolyMatrix:
+    """Random parity row of exactly this memory; differences may repeat.
+
+    Each stream draws between ``taps[0]`` and ``taps[1]`` taps (fewer when
+    mu + 1 is smaller); one stream also gets the tap at mu.
+    """
+    low, high = taps
     supports = [
-        sorted(set(rng.sample(range(mu + 1), rng.randint(1, min(3, mu + 1)))))
+        sorted(set(rng.sample(range(mu + 1), rng.randint(low, min(high, mu + 1)))))
         for _ in range(streams)
     ]
     k = rng.randrange(streams)
@@ -168,6 +210,69 @@ class TestColumnDistance:
         for x in rows:
             for j in range(11 // (x.ncols - 1)):
                 assert column_distance(x, j) == _column_distance_bruteforce(x, j)
+
+    @pytest.mark.parametrize(
+        "supports, windows",
+        [
+            # Both streams at once: their parities cancel.
+            (((0, 1, 2, 3), (0, 1, 2, 3)), range(1, 7)),
+            (((0, 2, 3, 5), (1, 2, 3, 5)), range(3, 7)),
+            # Bits at t = 0 and t = 1 on one stream: the taps mostly cancel.
+            (((0, 1, 2, 3, 4, 5),), range(2, 14)),
+            (((0, 1, 2, 3, 4, 5), (0, 2, 4, 6)), range(4, 7)),
+        ],
+        ids=["cancel", "cancel-offset", "two-frames", "two-frames-2-streams"],
+    )
+    def test_minimum_below_every_truncated_impulse(self, supports, windows):
+        x = _row(*supports, (0,))
+        for j in windows:
+            got = column_distance(x, j)
+            assert got == _column_distance_bruteforce(x, j)
+            assert got < _truncated_impulse(x, j)
+
+    @pytest.mark.parametrize(
+        "supports",
+        [((5,), (3, 7)), ((2, 9), (4,)), ((6,),), ((0, 4), (8,), (3, 6))],
+        ids=str,
+    )
+    def test_streams_without_taps_in_the_window(self, supports):
+        x = _row(*supports, (0,))
+        streams = len(supports)
+        for j in range(14 // streams):
+            assert column_distance(x, j) == _column_distance_bruteforce(x, j)
+        # A stream with no tap at delay <= j gives a window of weight 1.
+        for j in range(max(min(sup) for sup in supports)):
+            assert column_distance(x, j) == 1
+
+    def test_light_oracle_matches_bruteforce(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            streams = rng.randint(1, 3)
+            x = _random_row(rng, streams, rng.randint(0, 8))
+            for j in range(12 // streams):
+                assert _column_distance_light(x, j) == _column_distance_bruteforce(x, j)
+
+    def test_every_window_up_to_twice_the_memory(self):
+        # j = 0..2M for r <= 4, M <= 10, up to the MAX_WINDOW_BITS cap.
+        rng = random.Random(1414)
+        rows = [
+            _random_row(rng, rng.randint(1, 4), rng.randint(0, 10)) for _ in range(60)
+        ]
+        rows += [
+            _random_row(rng, rng.randint(1, 4), rng.randint(2, 10), taps=(3, 5))
+            for _ in range(40)
+        ]
+        below = without = 0
+        for x in rows:
+            streams = x.ncols - 1
+            for j in range(min(2 * memory(x), MAX_WINDOW_BITS // streams - 1) + 1):
+                got = column_distance(x, j)
+                assert got == _column_distance_light(x, j), (x, j)
+                below += got < _truncated_impulse(x, j)
+                without += _truncated_impulse(x, j) == 1
+        # 1,154 windows: 304 weigh less than every truncated impulse and 199
+        # have a stream with no tap at delay <= j.
+        assert below >= 250 and without >= 150, (below, without)
 
     def test_window_guard(self, example_x):
         with pytest.raises(ValueError, match="window too large"):
