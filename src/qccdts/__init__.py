@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .csoc import (
     CsocReport,
-    NonStrongFamilyWarning,
     build_systematic_x,
     is_csoc,
     memory,
@@ -67,7 +66,6 @@ __all__ = [
     "Gf2Poly",
     "Method",
     "NEG_INF",
-    "NonStrongFamilyWarning",
     "ONE",
     "PolyMatrix",
     "ReflectionSymmetryReport",

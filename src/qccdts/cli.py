@@ -25,7 +25,9 @@ the same parser. The ``--one-based`` / ``--zero-based`` flags override the
 file's convention. Integers must be JSON integers (``true`` is not 1,
 ``"3"`` is not 3) and ``one_based`` a JSON boolean; a field of the wrong
 type is an input error naming it. Optional fields given as ``null`` count
-as absent.
+as absent. The parser also puts the note for a family below STRONG in
+``CodeInput.notes``; commands print it as a ``warning:`` line, or in the
+``"warnings"`` list with ``--json``.
 """
 
 from __future__ import annotations
@@ -35,14 +37,11 @@ import itertools
 import json
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import __version__
-from .csoc import (
-    NonStrongFamilyWarning, build_systematic_x, is_csoc, memory, parity_supports,
-)
+from .csoc import build_systematic_x, is_csoc, memory, parity_supports
 from .distance import (
     MAX_EXACT_BUDGET,
     MAX_WINDOW_BITS,
@@ -80,6 +79,7 @@ class CodeInput:
     pi: tuple[int, ...] | None
     expected_m: int | None
     expected_w: int | None
+    notes: list[str]
 
 
 # The JSON name of each type json.load produces, for error messages.
@@ -176,27 +176,20 @@ def _code_input(payload, one_based_override: bool | None) -> CodeInput:
         pi=pi,
         expected_m=_optional_int(payload, "m"),
         expected_w=_optional_int(payload, "w"),
+        notes=[] if family.classification >= DtsClass.STRONG else [
+            f"family classifies as {family.classification}, not STRONG; "
+            "self-orthogonality and distance guarantees lapse"
+        ],
     )
 
 
-def _systematic_from_family(family: DtsFamily) -> tuple[PolyMatrix, list[str]]:
-    notes: list[str] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", NonStrongFamilyWarning)
-        x = build_systematic_x(family)
-    for item in caught:
-        if issubclass(item.category, NonStrongFamilyWarning):
-            notes.append(str(item.message))
-    return x, notes
-
-
-def _pair_from_input(code: CodeInput) -> tuple[PolyMatrix, PolyMatrix, list[str]]:
-    x, notes = _systematic_from_family(code.family)
+def _pair_from_input(code: CodeInput) -> tuple[PolyMatrix, PolyMatrix]:
+    x = build_systematic_x(code.family)
     if code.z_sets is not None:
         z = PolyMatrix.row(tuple(s.to_poly() for s in code.z_sets) + (ONE,))
     else:
         z = build_z(x, code.pi)
-    return x, z, notes
+    return x, z
 
 
 def _format_sets(sets) -> str:
@@ -205,22 +198,21 @@ def _format_sets(sets) -> str:
 
 def cmd_build(args: argparse.Namespace) -> int:
     code = load_code_input(args.input, args.one_based)
-    x, z, notes = _pair_from_input(code)
-    fam = code.family
+    x, z = _pair_from_input(code)
     params = {
         "X": str(x),
         "Z": str(z),
         "n": x.ncols,
         "memory": memory(x),
-        "w": fam.weight,
+        "w": code.family.weight,
         "rate": f"{x.ncols - 2}/{x.ncols}",
-        "classification": str(fam.classification),
-        "warnings": notes,
+        "classification": str(code.family.classification),
+        "warnings": code.notes,
     }
     if args.json:
         print(json.dumps(params))
     else:
-        for note in notes:
+        for note in code.notes:
             print(f"warning: {note}")
         print(f"X(D) = {x}")
         print(f"Z(D) = {z}")
@@ -233,7 +225,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_reflect(args: argparse.Namespace) -> int:
     code = load_code_input(args.input, args.one_based)
-    x, notes = _systematic_from_family(code.family)
+    x = build_systematic_x(code.family)
     z = build_z(x, code.pi)
     z_sets = parity_supports(z)
     payload = {
@@ -242,12 +234,12 @@ def cmd_reflect(args: argparse.Namespace) -> int:
         "reflected_zero_based": [list(s) for s in z_sets],
         "reflected_one_based": [[e + 1 for e in s] for s in z_sets],
         "pi": list(code.pi or identity_permutation(x.ncols - 1)),
-        "warnings": notes,
+        "warnings": code.notes,
     }
     if args.json:
         print(json.dumps(payload))
     else:
-        for note in notes:
+        for note in code.notes:
             print(f"warning: {note}")
         print(f"X(D) = {x}")
         print(f"Z(D) = {z}")
@@ -258,7 +250,7 @@ def cmd_reflect(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     code = load_code_input(args.input, args.one_based)
-    x, z, notes = _pair_from_input(code)
+    x, z = _pair_from_input(code)
     report = verify_pair(
         x, z, expect_m=code.expected_m, expect_w=code.expected_w
     )
@@ -279,11 +271,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 {"check": check, "detail": detail}
                 for check, detail in report.violations
             ],
-            "warnings": notes,
+            "warnings": code.notes,
         }
         print(json.dumps(payload))
     else:
-        for note in notes:
+        for note in code.notes:
             print(f"warning: {note}")
         for key in ("strong_dts", "csoc_x", "csoc_z", "commuting", "a7_symmetry"):
             print(f"{key}: {'ok' if checks[key] else 'FAIL'}")
@@ -298,7 +290,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_distance(args: argparse.Namespace) -> int:
     code = load_code_input(args.input, args.one_based)
-    x, notes = _systematic_from_family(code.family)
+    x = build_systematic_x(code.family)
     streams = x.ncols - 1
     mu = memory(x)
 
@@ -333,12 +325,12 @@ def cmd_distance(args: argparse.Namespace) -> int:
         "method": method,
         "witness": witness,
         "column_distances": profile,
-        "warnings": notes,
+        "warnings": code.notes,
     }
     if args.json:
         print(json.dumps(payload))
     else:
-        for note in notes:
+        for note in code.notes:
             print(f"warning: {note}")
         print(f"d_free = {d_free} ({method})")
         print(f"column distances [0..{len(profile) - 1}]: {profile}")
@@ -364,7 +356,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
             "m": row.m,
             "w": row.w,
         }, one_based_override=True)
-        x, z, _ = _pair_from_input(code)
+        x, z = _pair_from_input(code)
         checks = verify_pair(
             x, z, expect_m=code.expected_m, expect_w=code.expected_w
         ).checks

@@ -3,23 +3,19 @@
 A family of n-1 support sets becomes the systematic single parity row
 X(D) = [x_1(D), ..., x_{n-1}(D), 1], where x_i carries the i-th set as
 its exponent support and the constant last entry is the systematic
-(identity) column. The row is self-orthogonal (CSOC) exactly when its
-parity supports form a DTS, so :func:`is_csoc` reports the collisions of
+(identity) column. Any family builds; only its classification says if
+it is strong. The row is self-orthogonal (CSOC) exactly when its parity
+supports form a DTS, so :func:`is_csoc` reports the collisions of
 ``dts.repeated_differences``, the one check of that condition.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from .dts import DifferenceCollision, DtsClass, DtsFamily, repeated_differences
+from .dts import DifferenceCollision, DtsFamily, repeated_differences
 from .gf2poly import ONE, PolyMatrix
-
-
-class NonStrongFamilyWarning(UserWarning):
-    """Construction from a family below STRONG: well-defined, no guarantees."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,17 +29,9 @@ class CsocReport:
 def build_systematic_x(family: DtsFamily) -> PolyMatrix:
     """Systematic 1 x n parity row [x_1, ..., x_{n-1}, 1] from a 0-based family.
 
-    Families below STRONG are allowed but warned about.
+    Builds any family, strong or not, and says nothing about strength.
     """
-    if family.classification < DtsClass.STRONG:
-        warnings.warn(
-            f"family classifies as {family.classification}, not STRONG; "
-            "self-orthogonality and distance guarantees lapse",
-            NonStrongFamilyWarning,
-            stacklevel=2,
-        )
-    entries = tuple(s.to_poly() for s in family.sets) + (ONE,)
-    return PolyMatrix.row(entries)
+    return PolyMatrix.row(tuple(s.to_poly() for s in family.sets) + (ONE,))
 
 
 def require_systematic(x: PolyMatrix) -> None:

@@ -86,10 +86,6 @@ class Gf2Poly:
                 )
         return Gf2Poly(tuple(sorted(window - e for e in self.support)))
 
-    def subst_inverse(self) -> "Gf2Poly":
-        """Substitute D -> D^-1, negating every exponent."""
-        return Gf2Poly(tuple(sorted(-e for e in self.support)))
-
     def __str__(self) -> str:
         if not self.support:
             return "0"

@@ -62,13 +62,12 @@ def symplectic_sum(x: PolyMatrix, z: PolyMatrix) -> PolyMatrix:
     two products must share a shape for the sum to be well formed; the
     asymmetric case is unsupported).
     """
-    if x.ncols != z.ncols:
-        raise ValueError(f"column counts differ: {x.ncols} vs {z.ncols}")
+    xz = mat_mul_transpose(x, z)  # raises on differing column counts
     if x.nrows != z.nrows:
         raise ValueError(
             f"unsupported asymmetric pair: {x.nrows} X-rows vs {z.nrows} Z-rows"
         )
-    return mat_mul_transpose(x, z) + mat_mul_transpose(z, x)
+    return xz + mat_mul_transpose(z, x)
 
 
 def is_commuting(x: PolyMatrix, z: PolyMatrix) -> SymplecticReport:

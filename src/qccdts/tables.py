@@ -33,10 +33,6 @@ class TableRow:
     g_x: Sets  # 0-based X exponents
     g_z: Sets  # 0-based Z exponents
 
-    @property
-    def n(self) -> int:
-        return len(self.t_sets) + 1
-
 
 TABLE_ROWS: tuple[TableRow, ...] = (
     TableRow(

@@ -26,7 +26,6 @@ PUBLIC_NAMES = [
     "Gf2Poly",
     "Method",
     "NEG_INF",
-    "NonStrongFamilyWarning",
     "ONE",
     "PolyMatrix",
     "ReflectionSymmetryReport",

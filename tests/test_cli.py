@@ -497,6 +497,35 @@ class TestDistance:
         # wt(u) + wt(g u) stays >= 4 for every nonzero u (parity at D=1)
         assert payload["d_free"] == 4
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_weight_one_family_is_csoc_but_noted(self, capsys, tmp_path, as_json):
+        # Single-tap sets have no differences, so X is CSOC and certified,
+        # yet the family is only WDTS: the note and the certificate coexist.
+        path = tmp_path / "weight1.json"
+        path.write_text(json.dumps({"T": [[1], [1]]}))
+        argv = ["--json"] if as_json else []
+        code, out, err = run_cli(capsys, "distance", "--input", str(path), *argv)
+        note = (
+            "family classifies as WDTS, not STRONG; "
+            "self-orthogonality and distance guarantees lapse"
+        )
+        assert (code, err) == (0, "")
+        if as_json:
+            assert json.loads(out) == {
+                "d_free": 2,
+                "method": "csoc_certificate",
+                "witness": [[0, [1, 0, 1]]],
+                "column_distances": [2],
+                "warnings": [note],
+            }
+        else:
+            assert out == (
+                f"warning: {note}\n"
+                "d_free = 2 (csoc_certificate)\n"
+                "column distances [0..0]: [2]\n"
+                "witness: t=0:101\n"
+            )
+
     @pytest.mark.parametrize(
         "sets, argv, message",
         [

@@ -1,13 +1,13 @@
 from __future__ import annotations
 
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from qccdts import (
     DtsClass,
-    NonStrongFamilyWarning,
     PolyMatrix,
     build_systematic_x,
     classify,
@@ -31,18 +31,25 @@ class TestBuildSystematicX:
         x = build_systematic_x(fam)
         assert str(x) == "(1+D, 1+D^2, 1+D^5, 1)"
 
-    def test_weight_one_degenerate_warns(self):
-        fam = classify([(0,)])
-        with pytest.warns(NonStrongFamilyWarning):
-            x = build_systematic_x(fam)
-        assert str(x) == "(1, 1)"
-
-    def test_strong_family_is_silent(self, example_family):
-        import warnings
-
+    @pytest.mark.parametrize(
+        "sets, strength, row, csoc",
+        [
+            ([(0, 1), (0, 2)], DtsClass.FULL_STRONG, "(1+D, 1+D^2, 1)", True),
+            ([(0,)], DtsClass.WDTS, "(1, 1)", True),
+            ([(0, 1), (0, 1)], DtsClass.WDTS, "(1+D, 1+D, 1)", False),
+        ],
+        ids=["strong", "weight-1", "repeated-difference"],
+    )
+    def test_strong_family_is_silent(self, sets, strength, row, csoc):
+        """Any family builds its row without a warning, strong or not; the
+        note on a family below STRONG is the CLI parser's to write."""
+        fam = classify(sets)
+        assert fam.classification == strength
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            build_systematic_x(example_family)
+            x = build_systematic_x(fam)
+        assert str(x) == row
+        assert is_csoc(x).ok == csoc
 
     def test_supports_read_back(self):
         fam = classify([(0, 1, 3), (0, 4, 9)])
@@ -170,11 +177,3 @@ class TestBlockToeplitz:
             annihilated = not (mat @ stacked % 2).any()
             assert annihilated == recursion_holds(window)
 
-
-def test_non_strong_family_still_builds():
-    fam = classify([(0, 1), (0, 1)])
-    assert fam.classification < DtsClass.STRONG
-    with pytest.warns(NonStrongFamilyWarning):
-        x = build_systematic_x(fam)
-    assert str(x) == "(1+D, 1+D, 1)"
-    assert not is_csoc(x).ok

@@ -92,17 +92,6 @@ class TestReverse:
             P(-1, 0).reverse(2)
 
 
-class TestSubstituteInverse:
-    def test_negates(self):
-        assert P(0, 2).subst_inverse() == P(-2, 0)
-
-    def test_zero(self):
-        assert ZERO.subst_inverse() == ZERO
-
-    def test_involution(self):
-        assert P(-1, 3).subst_inverse().subst_inverse() == P(-1, 3)
-
-
 class TestRendering:
     @pytest.mark.parametrize(
         "poly, text",
@@ -267,5 +256,6 @@ def test_reverse_is_involution(p, slack):
 @given(window_supports)
 def test_reverse_matches_shifted_inverse_substitution(p):
     window = int(p.degree) if p else 0
-    shifted = Gf2Poly(tuple(e + window for e in p.subst_inverse().support))
+    inverse = sorted(-e for e in p.support)  # substitute D -> D^-1
+    shifted = Gf2Poly(tuple(e + window for e in inverse))
     assert p.reverse(window) == shifted
