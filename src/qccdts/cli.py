@@ -19,15 +19,16 @@ Input JSON schema (all commands that take ``--input``):
      "pi": [int] (optional, 1-based), "one_based": bool,
      "m": int (optional), "w": int (optional)}
 
-``Z_expected`` is accepted as an alias for ``Z``; either holds one set per
-set of ``T``, all of one size. ``tables`` reads each catalogue row through
-the same parser. The ``--one-based`` / ``--zero-based`` flags override the
-file's convention. Integers must be JSON integers (``true`` is not 1,
-``"3"`` is not 3) and ``one_based`` a JSON boolean; a field of the wrong
-type is an input error naming it. Optional fields given as ``null`` count
-as absent. The parser also puts the note for a family below STRONG in
-``CodeInput.notes``; commands print it as a ``warning:`` line, or in the
-``"warnings"`` list with ``--json``.
+``Z_expected`` is accepted as an alias for ``Z``, and giving both non-null
+is an input error; either holds one set per set of ``T``, all of one size.
+``tables`` reads each catalogue row through the same parser. The
+``--one-based`` / ``--zero-based`` flags override the file's convention.
+Integers must be JSON integers (``true`` is not 1, ``"3"`` is not 3) and
+``one_based`` a JSON boolean; a field of the wrong type is an input error
+naming it. Optional fields given as ``null`` count as absent. The parser
+also puts the note for a family below STRONG in ``CodeInput.notes``;
+commands print it as a ``warning:`` line, or in the ``"warnings"`` list
+with ``--json``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .distance import (
     column_distance,
     dfree_exact,
     dfree_upper,
+    exact_search_guard,
 )
 from .dts import (
     DtsClass, DtsFamily, SupportSet, as_support, classify, from_one_based, search_strong_dts,
@@ -149,7 +151,9 @@ def _code_input(payload, one_based_override: bool | None) -> CodeInput:
 
     family = classify(_parse_sets(payload["T"], one_based, "T"))
 
-    z_key = "Z" if "Z" in payload else "Z_expected"
+    if payload.get("Z") is not None and payload.get("Z_expected") is not None:
+        raise CliInputError('give "Z" or "Z_expected", not both')
+    z_key = "Z" if payload.get("Z") is not None else "Z_expected"
     z_raw = payload.get(z_key)
     z_sets = None
     if z_raw is not None:
@@ -293,6 +297,9 @@ def cmd_distance(args: argparse.Namespace) -> int:
     x = build_systematic_x(code.family)
     streams = x.ncols - 1
     mu = memory(x)
+    budget = args.budget if args.budget is not None else MAX_EXACT_BUDGET
+    if reason := exact_search_guard(budget):
+        raise CliInputError(reason)
 
     if is_csoc(x).ok:
         cert = certify_dfree(x)
@@ -300,7 +307,6 @@ def cmd_distance(args: argparse.Namespace) -> int:
         method = str(cert.method)
         witness = [[t, list(bits)] for t, bits in cert.witness]
     else:
-        budget = args.budget if args.budget is not None else MAX_EXACT_BUDGET
         found = dfree_exact(x, budget=budget)
         d_free = found if found is not None else f">{budget}"
         method = str(Method.EXACT_SEARCH)

@@ -4,22 +4,23 @@ Everything here works on the systematic single-parity-row form: the n-1
 information streams are free and the parity stream is their tap-filtered
 sum, so codewords are enumerated by information frames alone.
 
-Both searches run the parity row's encoder as a shift register: the
-information frames a search looks back over live in one int, newest
-frame in the low bits, and the delayed taps within reach in one mask, so
-each search node costs one popcount for the parity of the stored frames
-plus a table lookup per input frame, whatever the memory. A column
-distance over window [0..j] holds min(mu, j) frames, so its cost does not
-grow with the largest exponent; the exact search holds mu. The exact
-free-distance search is a bounded-weight depth-first search over frames
-(never a full state-space sweep): with budget b and memory mu, any
-codeword of weight <= b closes within b * (mu + 1) frames, because each
-nonzero input adds weight and gaps longer than mu flush the register to
-zero. It is guarded at budget MAX_EXACT_BUDGET and memory
-MAX_EXACT_MEMORY, checked before any register is built; these guards
-live here only, and the CLI reports the ValueError of the one that
-tripped. Column-distance windows are capped at MAX_WINDOW_BITS
-information bits.
+One depth-first search serves column distances and free distance. It
+runs the parity row's encoder as a shift register: the information
+frames it looks back over live in one int, newest frame in the low bits,
+and the delayed taps within reach in one mask, so each node costs one
+popcount plus a table lookup per input frame, whatever the memory. Paths
+start with a nonzero frame at time 0 and are pruned once no lighter than
+the incumbent. A path completes when the register flushes (a codeword)
+or, for a column distance over window [0..j], when it reaches time j.
+That window holds min(mu, j) frames, so its cost does not grow with the
+largest exponent. The free-distance search holds mu frames and is
+bounded by weight: with budget b, any codeword of weight <= b closes
+within b * (mu + 1) frames, since each nonzero input adds weight and a
+gap longer than mu flushes the register. One test, exact_search_guard,
+holds its guards (budget MAX_EXACT_BUDGET, memory MAX_EXACT_MEMORY):
+dfree_exact raises its message before building a register, certify_dfree
+skips its cross-check on it and the CLI checks ``--budget`` with it.
+Column-distance windows are capped at MAX_WINDOW_BITS information bits.
 """
 
 from __future__ import annotations
@@ -96,15 +97,58 @@ def _shift_register(
     return (1 << streams * frames) - 1, taps, pop, par0
 
 
+def exact_search_guard(budget: int, mu: int = 0) -> str | None:
+    """The exact search's guard message at this budget and memory, or None.
+
+    The default ``mu = 0`` tests the budget alone.
+    """
+    if budget < 1:
+        return "budget must be positive"
+    if budget > MAX_EXACT_BUDGET:
+        return f"budget {budget} exceeds exact-search guard {MAX_EXACT_BUDGET}"
+    if mu > MAX_EXACT_MEMORY:
+        return f"memory {mu} exceeds exact-search guard {MAX_EXACT_MEMORY}"
+    return None
+
+
+def _lightest(
+    supports: tuple[tuple[int, ...], ...], frames: int, last: int, best: int, window: bool
+) -> int:
+    """Weight of the lightest path completed below ``best``, else ``best``.
+
+    Paths run over times 0..last, from a nonzero frame at time 0, through
+    a register of ``frames`` frames. One completes when the register
+    flushes or, with ``window``, at time ``last``; a flushed window may
+    complete early, as its later frames can all be zero and add no weight.
+    """
+    streams = len(supports)
+    keep, taps, pop, par0 = _shift_register(supports, frames)
+    inputs = range(1 << streams)
+
+    def descend(t: int, state: int, weight: int) -> None:
+        nonlocal best
+        p = (state & taps).bit_count() & 1
+        for u in inputs[1:] if t == 0 else inputs:
+            w2 = weight + pop[u] + (p ^ par0[u])
+            if w2 >= best:
+                continue
+            nxt = ((state << streams) | u) & keep
+            if not nxt or (window and t == last):
+                best = w2
+            elif t < last:
+                descend(t + 1, nxt, w2)
+
+    descend(0, 0, 0)
+    return best
+
+
 def column_distance(h: PolyMatrix, j: int) -> int:
     """Minimum weight over window-[0..j] codewords with a nonzero first block.
 
-    Exact: a depth-first search over information windows with running
-    branch-and-bound pruning visits every window that could beat the
-    incumbent, which starts at the lightest truncated impulse. Window size
-    is capped to keep the search desk-scale. A
-    window of j frames looks back at most j frames, so the register holds
-    min(mu, j) of them.
+    Exact: the search starts from the lightest truncated impulse (one bit
+    on a stream at time 0 and its parity taps at delays <= j) and visits
+    every window that could be lighter. A window of j frames looks back
+    at most j frames, so the register holds min(mu, j) of them.
     """
     supports = parity_supports(h)
     if j < 0:
@@ -115,27 +159,8 @@ def column_distance(h: PolyMatrix, j: int) -> int:
             f"window too large for exact oracle: {(j + 1) * streams} information "
             f"bits exceeds {MAX_WINDOW_BITS}"
         )
-    keep, taps, pop, par0 = _shift_register(supports, min(memory(h), j))
-    inputs = range(1 << streams)
-    # The lightest truncated impulse: one bit on stream i at time 0 and its
-    # parity taps at delays <= j. It is a window with a nonzero first block,
-    # so the search below only has to look for lighter ones.
-    best = min(1 + sum(t <= j for t in sup) for sup in supports)
-
-    def descend(t: int, state: int, weight: int) -> None:
-        nonlocal best
-        p = (state & taps).bit_count() & 1
-        for u in inputs[1:] if t == 0 else inputs:
-            w2 = weight + pop[u] + (p ^ par0[u])
-            if w2 >= best:
-                continue
-            if t == j:
-                best = w2  # a complete window, lighter than the incumbent
-            else:
-                descend(t + 1, ((state << streams) | u) & keep, w2)
-
-    descend(0, 0, 0)
-    return best
+    seed = min(1 + sum(t <= j for t in sup) for sup in supports)
+    return _lightest(supports, min(memory(h), j), j, seed, window=True)
 
 
 def dfree_upper(x: PolyMatrix) -> DistanceCertificate:
@@ -178,37 +203,11 @@ def dfree_exact(
     for any codeword within budget; raise it only for diagnostics.
     """
     supports = parity_supports(x)
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    if budget > MAX_EXACT_BUDGET:
-        raise ValueError(
-            f"budget {budget} exceeds exact-search guard {MAX_EXACT_BUDGET}"
-        )
     mu = memory(x)
-    if mu > MAX_EXACT_MEMORY:
-        raise ValueError(
-            f"memory {mu} exceeds exact-search guard {MAX_EXACT_MEMORY}"
-        )
-    streams = len(supports)
-    keep, taps, pop, par0 = _shift_register(supports, mu)
-    max_depth = horizon if horizon is not None else budget * (mu + 1)
-    inputs = range(1 << streams)
-    best = budget + 1
-
-    def descend(depth: int, state: int, weight: int) -> None:
-        nonlocal best
-        p = (state & taps).bit_count() & 1
-        for u in inputs[1:] if depth == 0 else inputs:
-            w2 = weight + pop[u] + (p ^ par0[u])
-            if w2 >= best:
-                continue
-            nxt = ((state << streams) | u) & keep
-            if nxt == 0:
-                best = w2  # encoder flushed: a complete codeword
-            elif depth + 1 < max_depth:
-                descend(depth + 1, nxt, w2)
-
-    descend(0, 0, 0)
+    if reason := exact_search_guard(budget, mu):
+        raise ValueError(reason)
+    depth = horizon if horizon is not None else budget * (mu + 1)
+    best = _lightest(supports, mu, depth - 1, budget + 1, window=False)
     return best if best <= budget else None
 
 
@@ -226,7 +225,7 @@ def certify_dfree(x: PolyMatrix) -> DistanceCertificate:
     target = upper.d_free
 
     search_budget = None
-    if target <= MAX_EXACT_BUDGET and memory(x) <= MAX_EXACT_MEMORY:
+    if exact_search_guard(target, memory(x)) is None:
         found = dfree_exact(x, budget=target)
         if found != target:
             raise RuntimeError(

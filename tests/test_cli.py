@@ -311,6 +311,22 @@ class TestInputTypes:
         assert code == 0
         assert "verdict: PASS" in out
 
+    def test_null_z_reads_z_expected(self, capsys, tmp_path):
+        # "Z": null used to hide Z_expected: verify checked the reflected Z
+        # and printed PASS.
+        code, out, _ = self._run(
+            capsys, tmp_path, Z=None, Z_expected=[[9, 10], [9, 11]]
+        )
+        assert code == 1
+        assert "memory: X=2 Z=10 FAIL" in out
+        assert out.endswith("verdict: FAIL\n")
+
+    def test_z_and_z_expected_both_given_exit_2(self, capsys, tmp_path):
+        sets = [[1, 3], [2, 3]]
+        code, out, err = self._run(capsys, tmp_path, Z=sets, Z_expected=sets)
+        self._assert_input_error(code, out, err, "Z")
+        assert err == 'error: give "Z" or "Z_expected", not both\n'
+
     @pytest.mark.parametrize("key", ["Z", "Z_expected"])
     def test_z_with_fewer_sets_than_t_exit_2(self, capsys, tmp_path, key):
         # Used to reach the symplectic sum: "column counts differ: 3 vs 2".
@@ -532,11 +548,15 @@ class TestDistance:
             ([[0, 1, 2], [0, 3, 13]], [], "memory 13 exceeds exact-search guard 12"),
             ([[0, 1, 2], [0, 3, 5]], ["--budget", "7"], "budget 7 exceeds exact-search guard 6"),
             ([[0, 1, 2], [0, 3, 5]], ["--budget", "0"], "budget must be positive"),
+            # A self-orthogonal row never runs the search with --budget, yet
+            # its value is checked all the same.
+            ([[0, 1], [0, 2]], ["--budget", "7"], "budget 7 exceeds exact-search guard 6"),
+            ([[0, 1], [0, 2]], ["--budget", "-3"], "budget must be positive"),
         ],
-        ids=["memory", "budget", "non-positive budget"],
+        ids=["memory", "budget", "non-positive budget", "csoc budget", "csoc negative budget"],
     )
     def test_exact_search_guard_names_itself(self, capsys, tmp_path, sets, argv, message):
-        path = tmp_path / "colliding.json"
+        path = tmp_path / "input.json"
         path.write_text(json.dumps({"T": sets, "one_based": False}))
         code, out, err = run_cli(capsys, "distance", "--input", str(path), *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import json
+import pathlib
 import random
 import tracemalloc
 
@@ -25,6 +27,12 @@ from qccdts.distance import MAX_WINDOW_BITS
 from qccdts.tables import TABLE_ROWS
 
 from dense_arrays import block_toeplitz
+
+# The benchmark's distance pool: families with the profiles and non-CSOC
+# free distances the CLI printed when it was recorded.
+DISTANCE_POOL = json.loads(
+    (pathlib.Path(__file__).parents[1] / "bench" / "reference.json").read_text()
+)["distance"]
 
 
 def _row(*supports) -> PolyMatrix:
@@ -438,3 +446,28 @@ class TestTableDistances:
             cert = dfree_upper(x)
             assert cert.d_free == row.w + 1
             _verify_witness(x, cert.witness, row.w + 1)
+
+
+class TestRecordedPool:
+    def test_every_entry_matches_its_recording(self):
+        # 14 catalogue rows, 180 strong families and 90 colliding families
+        # under budgets 4, 5 and 6: 464 cases.
+        cases = [(e["T"], None, e) for e in DISTANCE_POOL["catalogue"]]
+        cases += [(e["T"], None, e) for slot in DISTANCE_POOL["strong"] for e in slot]
+        cases += [
+            (e["T"], int(budget), recorded)
+            for slot in DISTANCE_POOL["colliding"]
+            for e in slot
+            for budget, recorded in e["budgets"].items()
+        ]
+        assert len(cases) == 464
+        for sets, budget, recorded in cases:
+            x = _row(*sets, (0,))
+            profile = recorded["column_distances"]
+            assert [column_distance(x, j) for j in range(len(profile))] == profile, sets
+            assert is_csoc(x).ok == (budget is None), sets
+            if budget is not None:
+                found = dfree_exact(x, budget)
+                assert (found if found is not None else f">{budget}") == recorded[
+                    "d_free"
+                ], (sets, budget)
