@@ -54,7 +54,8 @@ from .distance import (
     exact_search_guard,
 )
 from .dts import (
-    DtsClass, DtsFamily, SupportSet, as_support, classify, from_one_based, search_strong_dts,
+    DtsClass, DtsFamily, SupportSet, _check_search_args, as_support, classify,
+    from_one_based, search_strong_dts,
 )
 from .gf2poly import ONE, PolyMatrix
 from .reflect import _check_permutation, build_z, identity_permutation, verify_pair
@@ -441,28 +442,44 @@ class _SetTexts(dict):
         return text
 
 
-# ``DtsClass.name`` is a Python-level property; a dict lookup is cheaper.
-_CLASS_NAMES = {c: c.name for c in DtsClass}
+class _LineTails(dict):
+    """Maps ``(classification, budget)`` to the text of a line after its sets."""
+
+    def __missing__(self, key: tuple[DtsClass, int]) -> str:
+        classification, m = key
+        text = self[key] = (
+            f'], "classification": "{classification.name}", '
+            f'"scope": {m}, "budget": {m}}}\n'
+        )
+        return text
 
 
 def _search_lines(families: Iterable[DtsFamily]) -> Iterator[str]:
     """One JSON line per family, as ``json.dumps`` writes the object
     ``{"one_based": false, "sets": ..., "classification": ..., "scope": M,
-    "budget": M}``.
+    "budget": M}``, yielded as soon as the family is drawn.
 
-    A stream draws its sets from a few hundred candidates, so each distinct
-    set is rendered once per command. Every set ``search_strong_dts``
-    yields is normalized, so a family's scope is its largest difference,
-    which is its budget M.
+    A line is a prefix holding the family's first r-1 sets, the last set's
+    text and a tail. The search yields runs of families that share their
+    first r-1 sets, so the prefix is rendered once per run: a run goes on
+    while ``sets[:-1]`` equals the previous head, which CPython settles by
+    identity for the search's shared :class:`SupportSet` objects and by
+    value otherwise. Each distinct set is rendered once per command, and
+    each tail once per ``(classification, budget)``. Every set
+    ``search_strong_dts`` yields is normalized, so a family's scope is its
+    largest difference, which is its budget M.
     """
     texts = _SetTexts()
+    tails = _LineTails()
+    head = prefix = None
     for f in families:
-        sets = ", ".join([texts[s.elements] for s in f.sets])
-        m = f.budget
-        yield (
-            f'{{"one_based": false, "sets": [{sets}], "classification": '
-            f'"{_CLASS_NAMES[f.classification]}", "scope": {m}, "budget": {m}}}\n'
-        )
+        sets = f.sets
+        if sets[:-1] != head:
+            head = sets[:-1]
+            prefix = '{"one_based": false, "sets": [' + "".join(
+                [texts[s.elements] + ", " for s in head]
+            )
+        yield prefix + texts[sets[-1].elements] + tails[f.classification, f.budget]
 
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -488,13 +505,14 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 0:
         raise CliInputError(f"--limit must be >= 0, got {args.limit}")
 
-    # The engine's own argument checks raise ValueError on the first
-    # iteration, which main reports as an input error.
+    # The engine runs its argument checks only once iterated, which
+    # ``--limit 0`` never does, so they run here first; main reports their
+    # ValueError as an input error.
+    _check_search_args(args.r, args.w, args.max_scope)
     families = search_strong_dts(args.r, args.w, args.max_scope)
     if args.full_strong:
-        families = (
-            f for f in families if f.classification == DtsClass.FULL_STRONG
-        )
+        full_strong = DtsClass.FULL_STRONG
+        families = (f for f in families if f.classification == full_strong)
     sys.stdout.writelines(_search_lines(itertools.islice(families, args.limit)))
     return 0
 

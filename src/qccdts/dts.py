@@ -7,7 +7,10 @@ For a family of equal-size support sets the classification hierarchy is:
   DTS          WDTS, and the per-set difference sets are pairwise disjoint
   STRONG       DTS whose differences all fall in {1..M} for a budget M,
                so each admissible difference appears at most once
-  FULL_STRONG  STRONG with exact coverage: every value 1..M appears once
+  FULL_STRONG  STRONG with exact coverage: every value 1..M appears once.
+               The r * C(w,2) differences are distinct and lie in 1..M,
+               so this holds exactly when M = r * C(w,2); :func:`classify`
+               and :func:`search_strong_dts` both decide it by that count.
 
 The canonical internal convention is 0-based exponents (an element t is
 the exponent of D^t). Table-style 1-based sets are converted at the I/O
@@ -20,9 +23,10 @@ self-orthogonal exactly when its parity supports form a DTS.
 
 :func:`search_strong_dts` enumerates strong families with ``int``
 difference masks, one generator over an explicit stack of frames, and a
-last-level loop that yields each family. It builds each frozen
-:class:`DtsFamily` through the class's slot descriptors, because the
-frozen ``__init__`` calls ``object.__setattr__`` once per field.
+last-level loop that yields each family, classified by the count above.
+It builds each frozen :class:`DtsFamily` through the class's slot
+descriptors, because the frozen ``__init__`` calls ``object.__setattr__``
+once per field.
 """
 
 from __future__ import annotations
@@ -233,26 +237,11 @@ def _wdts_candidates(w: int, max_scope: int) -> list[tuple[SupportSet, int]]:
     return out
 
 
-def search_strong_dts(r: int, w: int, max_scope: int) -> Iterator[DtsFamily]:
-    """Enumerate every strong family of r normalized w-sets, scope <= max_scope.
+def _check_search_args(r: int, w: int, max_scope: int) -> None:
+    """Raise ValueError unless :func:`search_strong_dts` accepts the arguments.
 
-    Families are canonical (member sets in lexicographic order, which also
-    deduplicates permuted copies) and are yielded in lexicographic order of
-    that canonical form. The stream is empty when no family exists. The
-    argument checks raise ValueError on the first iteration.
-
-    The search is one generator over an explicit stack of frames
-    ``(pool, next index, chosen, used mask)``: ``pool`` holds the later
-    candidates whose difference masks miss ``used``, the union of the
-    chosen sets' masks. Once r-1 sets are chosen, a last-level loop runs
-    straight over the frame's pool, so each family costs one mask union
-    and no generator frame per chosen set. Because every set is
-    normalized, the largest difference is the family scope, which is the
-    tightest budget M; the family is FULL_STRONG iff the mask covers
-    exactly 1..M. Families are classified from that mask without calling
-    :func:`classify`. They are built through the slot descriptors, not the
-    constructor, because the frozen ``__init__`` calls ``object.__setattr__``
-    once per field; each is still an ordinary frozen :class:`DtsFamily`.
+    The search is a generator, so it runs these checks only once it is
+    first iterated; a caller that may never iterate it calls this first.
     """
     if r < 1:
         raise ValueError("need at least one set")
@@ -261,20 +250,44 @@ def search_strong_dts(r: int, w: int, max_scope: int) -> Iterator[DtsFamily]:
     if max_scope < w - 1:
         raise ValueError(f"scope {max_scope} cannot hold a {w}-set")
 
+
+def search_strong_dts(r: int, w: int, max_scope: int) -> Iterator[DtsFamily]:
+    """Enumerate every strong family of r normalized w-sets, scope <= max_scope.
+
+    Families are canonical (member sets in lexicographic order, which also
+    deduplicates permuted copies) and are yielded in lexicographic order of
+    that canonical form. The stream is empty when no family exists. The
+    argument checks raise ValueError on the first iteration; a caller that
+    may never iterate (a limit of 0) runs :func:`_check_search_args` first.
+
+    The search is one generator over an explicit stack of frames
+    ``(pool, next index, chosen, used mask)``: ``pool`` holds the later
+    candidates whose difference masks miss ``used``, the union of the
+    chosen sets' masks. Once r-1 sets are chosen, a last-level loop runs
+    straight over the frame's pool, so each family costs one mask union
+    and no generator frame per chosen set. Because every set is
+    normalized, the largest difference is the family scope, which is the
+    tightest budget M, read off the union mask's top bit. As in
+    :func:`classify`, the family is FULL_STRONG iff M = r * C(w,2), the
+    count of its distinct differences, so no family calls :func:`classify`.
+    Families are built through the slot descriptors, not the
+    constructor, because the frozen ``__init__`` calls ``object.__setattr__``
+    once per field; each is still an ordinary frozen :class:`DtsFamily`.
+    """
+    _check_search_args(r, w, max_scope)
+
     strong, full_strong = DtsClass.STRONG, DtsClass.FULL_STRONG
+    perfect = r * (w * (w - 1) // 2)
     last = r - 1
     stack = [(_wdts_candidates(w, max_scope), 0, (), 0)]
     while stack:
         pool, idx, chosen, used = stack.pop()
         if len(chosen) == last:
             for member, mask in pool:
-                covered = used | mask
-                budget = covered.bit_length() - 1
+                budget = (used | mask).bit_length() - 1
                 family = _new(DtsFamily)
                 _set_sets(family, chosen + (member,))
-                _set_classification(
-                    family, full_strong if covered == (2 << budget) - 2 else strong
-                )
+                _set_classification(family, full_strong if budget == perfect else strong)
                 _set_budget(family, budget)
                 yield family
         elif idx < len(pool):

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from qccdts import cli, reflect
 from qccdts.cli import main
+from qccdts.dts import DtsClass, DtsFamily, SupportSet, search_strong_dts
 
 # `qccdts distance --json` on the 14 catalogue rows and on three colliding
 # (not self-orthogonal) rows under --budget 4, 5 and 6, recorded before the
@@ -924,6 +926,113 @@ class TestSearch:
         code, _, err = run_cli(capsys, "search", "2", "2", "2")
         assert code == 2
         assert "integer" in err
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            (("2", "1", "5"), "error: search requires weight >= 2\n"),
+            (("0", "2", "5"), "error: need at least one set\n"),
+            (("2", "3", "1"), "error: scope 1 cannot hold a 3-set\n"),
+        ],
+        ids=["weight 1", "no sets", "scope below weight"],
+    )
+    @pytest.mark.parametrize(
+        "limit", [[], ["--limit", "0"], ["--limit", "1"]], ids=["no limit", "limit 0", "limit 1"]
+    )
+    def test_engine_argument_errors_ignore_limit(self, capsys, shape, message, limit):
+        # --limit 0 never iterates the engine, so its checks must run anyway.
+        assert run_cli(capsys, "search", *shape, *limit) == (2, "", message)
+        assert run_cli(capsys, "search", *shape, "--full-strong", *limit) == (2, "", message)
+
+
+def _documented_line(family: DtsFamily) -> str:
+    """The search line README documents, written by ``json.dumps``."""
+    return json.dumps({
+        "one_based": False,
+        "sets": [list(s.elements) for s in family.sets],
+        "classification": family.classification.name,
+        "scope": family.budget,
+        "budget": family.budget,
+    }) + "\n"
+
+
+# One stream for each r in 1..5 that holds a FULL_STRONG family, and two
+# w = 3 streams that hold none.
+FULL_STRONG_SHAPES = [(1, 4, 12), (2, 2, 10), (3, 2, 8), (4, 2, 10), (5, 2, 10)]
+RENDER_SHAPES = FULL_STRONG_SHAPES + [(2, 3, 12), (3, 3, 13)]
+
+
+@pytest.mark.parametrize("shape", RENDER_SHAPES, ids=str)
+def test_search_lines_match_json_dumps_on_streams(shape):
+    families = list(search_strong_dts(*shape))
+    assert all(f.scope == f.budget for f in families)
+    full = [f for f in families if f.classification == DtsClass.FULL_STRONG]
+    assert bool(full) == (shape in FULL_STRONG_SHAPES)
+    assert list(cli._search_lines(families)) == [_documented_line(f) for f in families]
+
+
+def _family(sets, classification=DtsClass.STRONG, budget=None) -> DtsFamily:
+    members = tuple(SupportSet(tuple(s)) for s in sets)
+    if budget is None:
+        budget = max(s.scope for s in members)
+    return DtsFamily(members, classification, budget)
+
+
+def test_search_lines_match_json_dumps_on_hand_built_families():
+    # Every family is built from fresh SupportSet objects, so a head equal
+    # by value is never the same object; the head changes at each depth.
+    families = [
+        _family([[0, 1], [0, 2], [0, 3]], DtsClass.FULL_STRONG, 3),
+        _family([[0, 1], [0, 2], [0, 4]]),
+        _family([[0, 1], [0, 2], [0, 5]]),
+        _family([[0, 1], [0, 3], [0, 5]]),
+        _family([[0, 1], [0, 3], [0, 7]]),
+        _family([[0, 2], [0, 3], [0, 7]]),
+        _family([[0, 2], [0, 3], [0, 8]]),
+        _family([[0, 1], [0, 2], [0, 3]], DtsClass.FULL_STRONG, 3),
+        # Adjacent families that differ only in classification, then only
+        # in budget, then in both.
+        _family([[0, 1], [0, 2], [0, 3]], DtsClass.STRONG, 3),
+        _family([[0, 1], [0, 2], [0, 3]], DtsClass.STRONG, 4),
+        _family([[0, 1], [0, 2], [0, 3]], DtsClass.FULL_STRONG, 4),
+        _family([[0, 1], [0, 2], [0, 3]], DtsClass.FULL_STRONG, 3),
+    ]
+    lines = list(cli._search_lines(families))
+    assert lines == [_documented_line(f) for f in families]
+    assert len(set(lines[-4:])) == 4
+
+
+def test_search_lines_render_each_head_once_per_run(monkeypatch):
+    lookups = []
+
+    class CountingTexts(cli._SetTexts):
+        def __getitem__(self, elements):
+            lookups.append(elements)
+            return super().__getitem__(elements)
+
+    monkeypatch.setattr(cli, "_SetTexts", CountingTexts)
+    families = list(search_strong_dts(3, 2, 8))
+    runs = sum(1 for _ in itertools.groupby(families, key=lambda f: f.sets[:-1]))
+    assert 1 < runs < len(families)
+    list(cli._search_lines(families))
+    assert len(lookups) == len(families) + 2 * runs
+
+
+def test_search_lines_stream_one_family_per_line():
+    families = list(search_strong_dts(3, 2, 8))
+    pulled = 0
+
+    def counted():
+        nonlocal pulled
+        for f in families:
+            pulled += 1
+            yield f
+
+    lines = cli._search_lines(counted())
+    for k, line in enumerate(lines, 1):
+        assert pulled == k
+        assert line == _documented_line(families[k - 1])
+    assert pulled == len(families)
 
 
 def _child_env() -> dict[str, str]:
