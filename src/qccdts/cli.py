@@ -38,8 +38,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from . import __version__
 from .csoc import build_systematic_x, is_csoc, memory, parity_supports
@@ -57,7 +56,7 @@ from .dts import (
     DtsClass, DtsFamily, SupportSet, _check_search_args, as_support, classify,
     from_one_based, search_strong_dts,
 )
-from .gf2poly import ONE, PolyMatrix
+from .gf2poly import ONE, PolyMatrix, _Record
 from .reflect import _check_permutation, build_z, identity_permutation, verify_pair
 from .tables import rows_for, validate_tables
 
@@ -75,14 +74,29 @@ class CliInputError(Exception):
     """Malformed input; reported on stderr with exit code 2."""
 
 
-@dataclass(slots=True)
-class CodeInput:
-    family: DtsFamily
-    z_sets: list[SupportSet] | None
-    pi: tuple[int, ...] | None
-    expected_m: int | None
-    expected_w: int | None
-    notes: list[str]
+class CodeInput(_Record):
+    """A parsed code description; unlike the library's values, mutable."""
+
+    __slots__ = ("family", "z_sets", "pi", "expected_m", "expected_w", "notes")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        family: DtsFamily,
+        z_sets: list[SupportSet] | None,
+        pi: tuple[int, ...] | None,
+        expected_m: int | None,
+        expected_w: int | None,
+        notes: list[str],
+    ) -> None:
+        self.family = family
+        self.z_sets = z_sets
+        self.pi = pi
+        self.expected_m = expected_m
+        self.expected_w = expected_w
+        self.notes = notes
 
 
 # The JSON name of each type json.load produces, for error messages.
@@ -461,21 +475,26 @@ def _search_lines(families: Iterable[DtsFamily]) -> Iterator[str]:
 
     A line is a prefix holding the family's first r-1 sets, the last set's
     text and a tail. The search yields runs of families that share their
-    first r-1 sets, so the prefix is rendered once per run: a run goes on
-    while ``sets[:-1]`` equals the previous head, which CPython settles by
-    identity for the search's shared :class:`SupportSet` objects and by
-    value otherwise. Each distinct set is rendered once per command, and
-    each tail once per ``(classification, budget)``. Every set
-    ``search_strong_dts`` yields is normalized, so a family's scope is its
-    largest difference, which is its budget M.
+    first r-1 sets, so the prefix is rendered once per run. A run ends
+    when the head's last set is another object; otherwise it goes on while
+    ``sets[:-1]`` equals the previous head, which the tuple comparison
+    settles by identity for the search's shared :class:`SupportSet`
+    objects and by value otherwise. A head equal by value but not by
+    identity is rendered again, to the same text. Each distinct set is
+    rendered once per command, and each tail once per ``(classification,
+    budget)``. All families hold r sets, as in one search stream. Every
+    set ``search_strong_dts`` yields is normalized, so a family's scope is
+    its largest difference, which is its budget M.
     """
     texts = _SetTexts()
     tails = _LineTails()
-    head = prefix = None
+    head = prefix = last = None
     for f in families:
         sets = f.sets
-        if sets[:-1] != head:
+        # ``head`` is empty for r = 1, and None before the first family.
+        if (head and sets[-2] is not last) or sets[:-1] != head:
             head = sets[:-1]
+            last = head[-1] if head else None
             prefix = '{"one_based": false, "sets": [' + "".join(
                 [texts[s.elements] + ", " for s in head]
             )

@@ -12,18 +12,19 @@ supports form a DTS, so :func:`is_csoc` reports the collisions of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .dts import DifferenceCollision, DtsFamily, repeated_differences
-from .gf2poly import ONE, PolyMatrix
+from .gf2poly import ONE, PolyMatrix, _Record, _setattr
 
 
-@dataclass(frozen=True, slots=True)
-class CsocReport:
+class CsocReport(_Record):
     """Outcome of the self-orthogonality test on a systematic parity row."""
 
-    ok: bool
-    collisions: tuple[DifferenceCollision, ...]
+    __slots__ = ("ok", "collisions")
+
+    def __init__(self, ok: bool, collisions: tuple[DifferenceCollision, ...]) -> None:
+        _setattr(self, "ok", ok)
+        _setattr(self, "collisions", collisions)
 
 
 def build_systematic_x(family: DtsFamily) -> PolyMatrix:

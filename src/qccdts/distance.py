@@ -26,10 +26,9 @@ Column-distance windows are capped at MAX_WINDOW_BITS information bits.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .csoc import is_csoc, memory, parity_supports
-from .gf2poly import PolyMatrix
+from .gf2poly import PolyMatrix, _Record, _setattr
 
 MAX_EXACT_BUDGET = 6
 MAX_EXACT_MEMORY = 12
@@ -48,8 +47,7 @@ class Method(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
-class DistanceCertificate:
+class DistanceCertificate(_Record):
     """A free-distance claim plus the codeword witnessing the upper bound.
 
     The witness is a list of (time, frame) pairs covering the nonzero
@@ -58,10 +56,16 @@ class DistanceCertificate:
     refuted by search, when a search ran.
     """
 
-    d_free: int
-    method: Method
-    witness: Witness
-    search_budget: int | None = None
+    __slots__ = ("d_free", "method", "witness", "search_budget")
+
+    def __init__(
+        self, d_free: int, method: Method, witness: Witness,
+        search_budget: int | None = None,
+    ) -> None:
+        _setattr(self, "d_free", d_free)
+        _setattr(self, "method", method)
+        _setattr(self, "witness", witness)
+        _setattr(self, "search_budget", search_budget)
 
 
 def _shift_register(

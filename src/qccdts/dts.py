@@ -24,19 +24,18 @@ self-orthogonal exactly when its parity supports form a DTS.
 :func:`search_strong_dts` enumerates strong families with ``int``
 difference masks, one generator over an explicit stack of frames, and a
 last-level loop that yields each family, classified by the count above.
-It builds each frozen :class:`DtsFamily` through the class's slot
-descriptors, because the frozen ``__init__`` calls ``object.__setattr__``
-once per field.
+It builds each immutable :class:`DtsFamily` through the class's slot
+descriptors, which skip the Python-level ``__init__`` and its
+``object.__setattr__`` call per field.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
-from .gf2poly import Gf2Poly
+from .gf2poly import Gf2Poly, _Record, _setattr
 
 
 class DtsClass(enum.IntEnum):
@@ -52,22 +51,22 @@ class DtsClass(enum.IntEnum):
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class SupportSet:
+class SupportSet(_Record):
     """Sorted distinct non-negative delay exponents of one family member."""
 
-    elements: tuple[int, ...]
+    __slots__ = ("elements",)
 
-    def __post_init__(self) -> None:
-        if not self.elements:
+    def __init__(self, elements: tuple[int, ...]) -> None:
+        if not elements:
             raise ValueError("support set must be nonempty")
         prev = -1
-        for e in self.elements:
+        for e in elements:
             if not isinstance(e, int) or e < 0:
                 raise ValueError(f"element {e!r} must be a non-negative integer")
             if e <= prev:
-                raise ValueError(f"elements {self.elements!r} must strictly increase")
+                raise ValueError(f"elements {elements!r} must strictly increase")
             prev = e
+        _setattr(self, "elements", elements)
 
     @classmethod
     def from_iterable(cls, elements: Iterable[int]) -> "SupportSet":
@@ -106,12 +105,14 @@ def from_one_based(elements: Iterable[int]) -> SupportSet:
     return SupportSet.from_iterable(e - 1 for e in elems)
 
 
-@dataclass(frozen=True, slots=True)
-class DifferenceCollision:
+class DifferenceCollision(_Record):
     """A repeated positive difference, with the 1-based entries involved."""
 
-    difference: int
-    entries: tuple[int, ...]
+    __slots__ = ("difference", "entries")
+
+    def __init__(self, difference: int, entries: tuple[int, ...]) -> None:
+        _setattr(self, "difference", difference)
+        _setattr(self, "entries", entries)
 
     def __str__(self) -> str:
         where = ", ".join(f"entry {e}" for e in self.entries)
@@ -147,8 +148,7 @@ def repeated_differences(
     return tuple(collisions)
 
 
-@dataclass(frozen=True, slots=True)
-class DtsFamily:
+class DtsFamily(_Record):
     """An ordered family of equal-weight support sets with its verdict.
 
     ``budget`` is the difference budget M, populated only for STRONG and
@@ -156,9 +156,14 @@ class DtsFamily:
     one was supplied to :func:`classify`).
     """
 
-    sets: tuple[SupportSet, ...]
-    classification: DtsClass
-    budget: int | None
+    __slots__ = ("sets", "classification", "budget")
+
+    def __init__(
+        self, sets: tuple[SupportSet, ...], classification: DtsClass, budget: int | None
+    ) -> None:
+        _setattr(self, "sets", sets)
+        _setattr(self, "classification", classification)
+        _setattr(self, "budget", budget)
 
     @property
     def size(self) -> int:
@@ -177,8 +182,8 @@ class DtsFamily:
 
 
 # search_strong_dts fills DtsFamily's three slots through these descriptors:
-# the frozen __init__ runs object.__setattr__ per field, which cost about
-# as much per family as the rest of the search.
+# __init__ is a Python call that runs object.__setattr__ per field, which
+# cost about as much per family as the rest of the search.
 _new = object.__new__
 _set_sets = DtsFamily.sets.__set__
 _set_classification = DtsFamily.classification.__set__
@@ -271,8 +276,8 @@ def search_strong_dts(r: int, w: int, max_scope: int) -> Iterator[DtsFamily]:
     :func:`classify`, the family is FULL_STRONG iff M = r * C(w,2), the
     count of its distinct differences, so no family calls :func:`classify`.
     Families are built through the slot descriptors, not the
-    constructor, because the frozen ``__init__`` calls ``object.__setattr__``
-    once per field; each is still an ordinary frozen :class:`DtsFamily`.
+    constructor, because ``__init__`` calls ``object.__setattr__`` once
+    per field; each is still an ordinary immutable :class:`DtsFamily`.
     """
     _check_search_args(r, w, max_scope)
 

@@ -21,13 +21,12 @@ distance certificate that the ``verify`` and ``tables`` commands render.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .csoc import is_csoc, memory, parity_supports, require_systematic
 from .distance import DistanceCertificate, certify_dfree
 from .dts import DtsClass, classify
-from .gf2poly import ONE, PolyMatrix
+from .gf2poly import ONE, PolyMatrix, _Record, _setattr
 from .symplectic import check_reflection_symmetry, is_commuting
 
 
@@ -61,8 +60,7 @@ def build_z(x: PolyMatrix, pi: Sequence[int] | None = None) -> PolyMatrix:
     return PolyMatrix.row(entries)
 
 
-@dataclass(frozen=True, slots=True)
-class VerifyReport:
+class VerifyReport(_Record):
     """Every check on a stabilizer pair, in the order they run.
 
     ``checks`` maps strong_dts, csoc_x, csoc_z, memory, commuting,
@@ -73,11 +71,21 @@ class VerifyReport:
     ``certificate`` is None exactly then.
     """
 
-    checks: dict[str, bool]
-    violations: tuple[tuple[str, str], ...]
-    memory_x: int
-    memory_z: int
-    certificate: DistanceCertificate | None
+    __slots__ = ("checks", "violations", "memory_x", "memory_z", "certificate")
+
+    def __init__(
+        self,
+        checks: dict[str, bool],
+        violations: tuple[tuple[str, str], ...],
+        memory_x: int,
+        memory_z: int,
+        certificate: DistanceCertificate | None,
+    ) -> None:
+        _setattr(self, "checks", checks)
+        _setattr(self, "violations", violations)
+        _setattr(self, "memory_x", memory_x)
+        _setattr(self, "memory_z", memory_z)
+        _setattr(self, "certificate", certificate)
 
 
 def verify_pair(

@@ -37,13 +37,10 @@ commutation check, with no further content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .gf2poly import PolyMatrix, mat_mul_transpose
+from .gf2poly import PolyMatrix, _Record, _setattr, mat_mul_transpose
 
 
-@dataclass(frozen=True, slots=True)
-class SymplecticReport:
+class SymplecticReport(_Record):
     """The commutation verdict and the nonzero coefficients of the sum.
 
     Violations are (s, i, j) triples, 1-based, meaning the coefficient of
@@ -51,8 +48,13 @@ class SymplecticReport:
     commutes.
     """
 
-    commuting: bool
-    violations: tuple[tuple[int, int, int], ...]
+    __slots__ = ("commuting", "violations")
+
+    def __init__(
+        self, commuting: bool, violations: tuple[tuple[int, int, int], ...]
+    ) -> None:
+        _setattr(self, "commuting", commuting)
+        _setattr(self, "violations", violations)
 
 
 def symplectic_sum(x: PolyMatrix, z: PolyMatrix) -> PolyMatrix:
@@ -129,10 +131,14 @@ def sum_index_matrix(x: PolyMatrix, s: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, out))
 
 
-@dataclass(frozen=True, slots=True)
-class ReflectionSymmetryReport:
-    ok: bool
-    counterexample: tuple[int, int, int] | None  # (s, a, b), 1-based rows
+class ReflectionSymmetryReport(_Record):
+    """The A7 verdict and, on failure, its first witness (s, a, b), 1-based rows."""
+
+    __slots__ = ("ok", "counterexample")
+
+    def __init__(self, ok: bool, counterexample: tuple[int, int, int] | None) -> None:
+        _setattr(self, "ok", ok)
+        _setattr(self, "counterexample", counterexample)
 
 
 def check_reflection_symmetry(

@@ -6,6 +6,7 @@ import hashlib
 import io
 import itertools
 import json
+import operator
 import os
 import pathlib
 import subprocess
@@ -1018,6 +1019,33 @@ def test_search_lines_render_each_head_once_per_run(monkeypatch):
     assert len(lookups) == len(families) + 2 * runs
 
 
+@pytest.mark.parametrize("shape", RENDER_SHAPES, ids=str)
+def test_search_lines_compare_sets_by_value_only_under_a_kept_last_head_set(
+    shape, monkeypatch
+):
+    # The engine yields one object per distinct set, so identity tells its
+    # heads apart. A head change whose last set is another object makes no
+    # Python-level SupportSet comparison; one that keeps it makes one.
+    families = list(search_strong_dts(*shape))
+    kept_last = 0
+    for before, after in zip(families, families[1:]):
+        old, new = before.sets[:-1], after.sets[:-1]
+        if new and new[-1] is old[-1] and any(map(operator.is_not, new, old)):
+            kept_last += 1
+    calls = []
+    compare = SupportSet.__eq__
+
+    def counting(self, other):
+        calls.append((self, other))
+        return compare(self, other)
+
+    monkeypatch.setattr(SupportSet, "__eq__", counting)
+    lines = list(cli._search_lines(families))
+    monkeypatch.undo()
+    assert len(calls) == kept_last
+    assert lines == [_documented_line(f) for f in families]
+
+
 def test_search_lines_stream_one_family_per_line():
     families = list(search_strong_dts(3, 2, 8))
     pulled = 0
@@ -1052,6 +1080,24 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert '"sets": [[0, 1], [0, 2]]' in proc.stdout
+
+
+def test_import_path_loads_no_dataclasses_inspect_or_typing():
+    # Without site (-S), whose .pth files may import typing, the child
+    # loads only what qccdts and its standard-library imports need.
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import qccdts, qccdts.cli\n"
+        "qccdts.cli.build_parser()\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, src], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def _run_child(code: str, input_path: str) -> subprocess.CompletedProcess:

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from qccdts import (
@@ -15,7 +13,7 @@ from qccdts import (
     is_csoc,
     memory,
 )
-from qccdts.tables import TABLE_ROWS, rows_for, validate_tables
+from qccdts.tables import TABLE_ROWS, TableRow, rows_for, validate_tables
 
 from references import reflect_family
 
@@ -45,7 +43,11 @@ def test_cross_transcription_validates():
 def test_tampered_row_detected(monkeypatch):
     import qccdts.tables as tables_mod
 
-    bad = dataclasses.replace(TABLE_ROWS[0], m=3)
+    row = TABLE_ROWS[0]
+    bad = TableRow(
+        row.table_id, row.row_no, row.rate_label, 3, row.w,
+        row.t_sets, row.z_sets, row.g_x, row.g_z,
+    )
     monkeypatch.setattr(tables_mod, "TABLE_ROWS", (bad,) + TABLE_ROWS[1:])
     with pytest.raises(AssertionError, match="stored m"):
         tables_mod.validate_tables()
