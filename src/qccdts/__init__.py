@@ -27,7 +27,6 @@ from .dts import (
     DifferenceCollision,
     DtsClass,
     DtsFamily,
-    SupportSet,
     classify,
     from_one_based,
     search_strong_dts,
@@ -69,7 +68,6 @@ __all__ = [
     "ONE",
     "PolyMatrix",
     "ReflectionSymmetryReport",
-    "SupportSet",
     "SymplecticReport",
     "TABLE_ROWS",
     "TableRow",

@@ -53,10 +53,10 @@ from .distance import (
     exact_search_guard,
 )
 from .dts import (
-    DtsClass, DtsFamily, SupportSet, _check_search_args, as_support, classify,
-    from_one_based, search_strong_dts,
+    DtsClass, DtsFamily, _check_search_args, as_support, classify, from_one_based,
+    search_strong_dts,
 )
-from .gf2poly import ONE, PolyMatrix, _Record
+from .gf2poly import ONE, Gf2Poly, PolyMatrix, _Record
 from .reflect import _check_permutation, build_z, identity_permutation, verify_pair
 from .tables import rows_for, validate_tables
 
@@ -70,10 +70,6 @@ TABLE_CHECKS = (
 )
 
 
-class CliInputError(Exception):
-    """Malformed input; reported on stderr with exit code 2."""
-
-
 class CodeInput(_Record):
     """A parsed code description; unlike the library's values, mutable."""
 
@@ -85,7 +81,7 @@ class CodeInput(_Record):
     def __init__(
         self,
         family: DtsFamily,
-        z_sets: list[SupportSet] | None,
+        z_sets: list[tuple[int, ...]] | None,
         pi: tuple[int, ...] | None,
         expected_m: int | None,
         expected_w: int | None,
@@ -114,26 +110,26 @@ def _is_int(value) -> bool:
 def _optional_int(payload: dict, key: str) -> int | None:
     value = payload.get(key)
     if value is not None and not _is_int(value):
-        raise CliInputError(
+        raise ValueError(
             f'"{key}" must be an integer, not {_JSON_TYPES[type(value)]}'
         )
     return value
 
 
-def _parse_sets(raw, one_based: bool, key: str) -> list[SupportSet]:
+def _parse_sets(raw, one_based: bool, key: str) -> list[tuple[int, ...]]:
     """0-based support sets from ``raw``; errors quote the sets as written."""
     if not isinstance(raw, list) or not raw or not all(
         isinstance(s, list) and s and all(_is_int(e) for e in s) for s in raw
     ):
-        raise CliInputError(
+        raise ValueError(
             f'"{key}" must be a nonempty list of nonempty lists of integers'
         )
     low = int(one_based)
     for s in raw:
         if len(set(s)) != len(s):
-            raise CliInputError(f'"{key}" set {s} repeats an element')
+            raise ValueError(f'"{key}" set {s} repeats an element')
         if min(s) < low:
-            raise CliInputError(
+            raise ValueError(
                 f'"{key}" set {s} holds {min(s)}; {low}-based elements start at {low}'
             )
     convert = from_one_based if one_based else as_support
@@ -145,20 +141,20 @@ def load_code_input(path: str, one_based_override: bool | None) -> CodeInput:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except OSError as exc:
-        raise CliInputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CliInputError(f"malformed JSON in {path}: {exc}") from exc
+        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
     return _code_input(payload, one_based_override)
 
 
 def _code_input(payload, one_based_override: bool | None) -> CodeInput:
     """The one parser of code descriptions: ``--input`` files and catalogue rows."""
     if not isinstance(payload, dict) or "T" not in payload:
-        raise CliInputError('input must be a JSON object with a "T" key')
+        raise ValueError('input must be a JSON object with a "T" key')
 
     one_based = payload.get("one_based", True)
     if not isinstance(one_based, bool):
-        raise CliInputError(
+        raise ValueError(
             f'"one_based" must be true or false, not {_JSON_TYPES[type(one_based)]}'
         )
     if one_based_override is not None:
@@ -167,26 +163,26 @@ def _code_input(payload, one_based_override: bool | None) -> CodeInput:
     family = classify(_parse_sets(payload["T"], one_based, "T"))
 
     if payload.get("Z") is not None and payload.get("Z_expected") is not None:
-        raise CliInputError('give "Z" or "Z_expected", not both')
+        raise ValueError('give "Z" or "Z_expected", not both')
     z_key = "Z" if payload.get("Z") is not None else "Z_expected"
     z_raw = payload.get(z_key)
     z_sets = None
     if z_raw is not None:
         z_sets = _parse_sets(z_raw, one_based, z_key)
         if len(z_sets) != family.size:
-            raise CliInputError(f'"{z_key}" must hold {family.size} sets, like "T"')
-        if len({s.weight for s in z_sets}) > 1:
-            raise CliInputError(f'"{z_key}" sets must all have the same size')
+            raise ValueError(f'"{z_key}" must hold {family.size} sets, like "T"')
+        if len({len(s) for s in z_sets}) > 1:
+            raise ValueError(f'"{z_key}" sets must all have the same size')
 
     pi = payload.get("pi")
     if pi is not None:
         if not isinstance(pi, list) or not all(_is_int(e) for e in pi):
-            raise CliInputError('"pi" must be a list of 1-based stream indices')
+            raise ValueError('"pi" must be a list of 1-based stream indices')
         pi = _check_permutation(pi, family.size)
 
     n = _optional_int(payload, "n")
     if n is not None and n != family.size + 1:
-        raise CliInputError(
+        raise ValueError(
             f'"n" is {n} but the family implies n = {family.size + 1}'
         )
     return CodeInput(
@@ -205,7 +201,7 @@ def _code_input(payload, one_based_override: bool | None) -> CodeInput:
 def _pair_from_input(code: CodeInput) -> tuple[PolyMatrix, PolyMatrix]:
     x = build_systematic_x(code.family)
     if code.z_sets is not None:
-        z = PolyMatrix.row(tuple(s.to_poly() for s in code.z_sets) + (ONE,))
+        z = PolyMatrix.row(tuple(Gf2Poly(s) for s in code.z_sets) + (ONE,))
     else:
         z = build_z(x, code.pi)
     return x, z
@@ -314,7 +310,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
     mu = memory(x)
     budget = args.budget if args.budget is not None else MAX_EXACT_BUDGET
     if reason := exact_search_guard(budget):
-        raise CliInputError(reason)
+        raise ValueError(reason)
 
     if is_csoc(x).ok:
         cert = certify_dfree(x)
@@ -367,7 +363,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
     validate_tables()
     rows = rows_for(args.table, args.row)
     if not rows:
-        raise CliInputError("no table rows match the requested filter")
+        raise ValueError("no table rows match the requested filter")
 
     results = []
     for row in rows:
@@ -381,9 +377,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
         checks = verify_pair(
             x, z, expect_m=code.expected_m, expect_w=code.expected_w
         ).checks
-        checks["reflect_match"] = sorted(parity_supports(build_z(x))) == sorted(
-            s.elements for s in code.z_sets
-        )
+        checks["reflect_match"] = sorted(parity_supports(build_z(x))) == sorted(code.z_sets)
         results.append((row, x, z, {name: checks[name] for name in TABLE_CHECKS}))
 
     failed = [
@@ -449,7 +443,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 class _SetTexts(dict):
-    """Maps a set's ``elements`` to its JSON text, rendered on first use."""
+    """Maps a support set to its JSON text, rendered on first use."""
 
     def __missing__(self, elements: tuple[int, ...]) -> str:
         text = self[elements] = str(list(elements))
@@ -475,12 +469,8 @@ def _search_lines(families: Iterable[DtsFamily]) -> Iterator[str]:
 
     A line is a prefix holding the family's first r-1 sets, the last set's
     text and a tail. The search yields runs of families that share their
-    first r-1 sets, so the prefix is rendered once per run. A run ends
-    when the head's last set is another object; otherwise it goes on while
-    ``sets[:-1]`` equals the previous head, which the tuple comparison
-    settles by identity for the search's shared :class:`SupportSet`
-    objects and by value otherwise. A head equal by value but not by
-    identity is rendered again, to the same text. Each distinct set is
+    first r-1 sets, so the prefix is rendered once per run: a run goes on
+    while ``sets[:-1]`` equals the previous head. Each distinct set is
     rendered once per command, and each tail once per ``(classification,
     budget)``. All families hold r sets, as in one search stream. Every
     set ``search_strong_dts`` yields is normalized, so a family's scope is
@@ -488,17 +478,15 @@ def _search_lines(families: Iterable[DtsFamily]) -> Iterator[str]:
     """
     texts = _SetTexts()
     tails = _LineTails()
-    head = prefix = last = None
+    head = prefix = None
     for f in families:
         sets = f.sets
-        # ``head`` is empty for r = 1, and None before the first family.
-        if (head and sets[-2] is not last) or sets[:-1] != head:
+        if sets[:-1] != head:
             head = sets[:-1]
-            last = head[-1] if head else None
             prefix = '{"one_based": false, "sets": [' + "".join(
-                [texts[s.elements] + ", " for s in head]
+                [texts[s] + ", " for s in head]
             )
-        yield prefix + texts[sets[-1].elements] + tails[f.classification, f.budget]
+        yield prefix + texts[sets[-1]] + tails[f.classification, f.budget]
 
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -508,7 +496,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         try:
             cap = int(override)
         except ValueError:
-            raise CliInputError(
+            raise ValueError(
                 f"QCCDTS_MAX_SEARCH must be an integer, got {override!r}"
             ) from None
         # The variable only lifts guards: a cap below a default keeps it.
@@ -516,13 +504,13 @@ def cmd_search(args: argparse.Namespace) -> int:
 
     for name, value in (("r", args.r), ("w", args.w), ("max_scope", args.max_scope)):
         if value > guards[name]:
-            raise CliInputError(
+            raise ValueError(
                 f"{name}={value} exceeds guard {guards[name]} "
                 "(set QCCDTS_MAX_SEARCH to override)"
             )
 
     if args.limit is not None and args.limit < 0:
-        raise CliInputError(f"--limit must be >= 0, got {args.limit}")
+        raise ValueError(f"--limit must be >= 0, got {args.limit}")
 
     # The engine runs its argument checks only once iterated, which
     # ``--limit 0`` never does, so they run here first; main reports their
@@ -632,7 +620,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (CliInputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, AssertionError) as exc:

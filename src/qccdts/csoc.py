@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .dts import DifferenceCollision, DtsFamily, repeated_differences
-from .gf2poly import ONE, PolyMatrix, _Record, _setattr
+from .gf2poly import ONE, Gf2Poly, PolyMatrix, _Record, _setattr
 
 
 class CsocReport(_Record):
@@ -32,7 +32,7 @@ def build_systematic_x(family: DtsFamily) -> PolyMatrix:
 
     Builds any family, strong or not, and says nothing about strength.
     """
-    return PolyMatrix.row(tuple(s.to_poly() for s in family.sets) + (ONE,))
+    return PolyMatrix.row(tuple(Gf2Poly(s) for s in family.sets) + (ONE,))
 
 
 def require_systematic(x: PolyMatrix) -> None:

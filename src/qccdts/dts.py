@@ -1,7 +1,10 @@
 """Difference triangle set combinatorics.
 
-A support set is a finite set of distinct non-negative delay exponents.
-For a family of equal-size support sets the classification hierarchy is:
+A support set is a finite set of distinct non-negative delay exponents,
+held as a strictly increasing ``tuple`` of ``int``: the exponent support
+of one parity entry, as ``Gf2Poly.support`` holds it. :func:`as_support`
+is the one check of that form. For a family of equal-size support sets
+the classification hierarchy is:
 
   WDTS         every set's positive pairwise differences are distinct
   DTS          WDTS, and the per-set difference sets are pairwise disjoint
@@ -35,7 +38,7 @@ import enum
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
 
-from .gf2poly import Gf2Poly, _Record, _setattr
+from .gf2poly import _Record, _setattr
 
 
 class DtsClass(enum.IntEnum):
@@ -51,58 +54,30 @@ class DtsClass(enum.IntEnum):
         return self.name
 
 
-class SupportSet(_Record):
-    """Sorted distinct non-negative delay exponents of one family member."""
+def as_support(values: Iterable[int]) -> tuple[int, ...]:
+    """``values`` as a support: sorted distinct non-negative integers.
 
-    __slots__ = ("elements",)
-
-    def __init__(self, elements: tuple[int, ...]) -> None:
-        if not elements:
-            raise ValueError("support set must be nonempty")
-        prev = -1
-        for e in elements:
-            if not isinstance(e, int) or e < 0:
-                raise ValueError(f"element {e!r} must be a non-negative integer")
-            if e <= prev:
-                raise ValueError(f"elements {elements!r} must strictly increase")
-            prev = e
-        _setattr(self, "elements", elements)
-
-    @classmethod
-    def from_iterable(cls, elements: Iterable[int]) -> "SupportSet":
-        """Sort ``elements``; a repeated one fails the strictly-increasing check."""
-        return cls(tuple(sorted(elements)))
-
-    @property
-    def weight(self) -> int:
-        return len(self.elements)
-
-    @property
-    def scope(self) -> int:
-        return self.elements[-1]
-
-    def to_poly(self) -> Gf2Poly:
-        return Gf2Poly(self.elements)
-
-    def __str__(self) -> str:
-        return "{" + ", ".join(str(e) for e in self.elements) + "}"
+    The one check of a support set; a repeat fails as not strictly increasing.
+    """
+    elements = tuple(sorted(values))
+    if not elements:
+        raise ValueError("support set must be nonempty")
+    prev = -1
+    for e in elements:
+        if not isinstance(e, int) or e < 0:
+            raise ValueError(f"element {e!r} must be a non-negative integer")
+        if e <= prev:
+            raise ValueError(f"elements {elements!r} must strictly increase")
+        prev = e
+    return elements
 
 
-SupportLike = SupportSet | Sequence[int]
-
-
-def as_support(value: SupportLike) -> SupportSet:
-    if isinstance(value, SupportSet):
-        return value
-    return SupportSet.from_iterable(value)
-
-
-def from_one_based(elements: Iterable[int]) -> SupportSet:
+def from_one_based(elements: Iterable[int]) -> tuple[int, ...]:
     """Convert a 1-based table set to 0-based exponents (subtract 1)."""
     elems = list(elements)
     if any(e == 0 for e in elems):
         raise ValueError("input is already 0-based or malformed")
-    return SupportSet.from_iterable(e - 1 for e in elems)
+    return as_support(e - 1 for e in elems)
 
 
 class DifferenceCollision(_Record):
@@ -159,7 +134,7 @@ class DtsFamily(_Record):
     __slots__ = ("sets", "classification", "budget")
 
     def __init__(
-        self, sets: tuple[SupportSet, ...], classification: DtsClass, budget: int | None
+        self, sets: tuple[tuple[int, ...], ...], classification: DtsClass, budget: int | None
     ) -> None:
         _setattr(self, "sets", sets)
         _setattr(self, "classification", classification)
@@ -171,14 +146,11 @@ class DtsFamily(_Record):
 
     @property
     def weight(self) -> int:
-        return self.sets[0].weight
+        return len(self.sets[0])
 
     @property
     def scope(self) -> int:
-        return max(s.scope for s in self.sets)
-
-    def __str__(self) -> str:
-        return "; ".join(str(s) for s in self.sets)
+        return max(s[-1] for s in self.sets)
 
 
 # search_strong_dts fills DtsFamily's three slots through these descriptors:
@@ -190,7 +162,7 @@ _set_classification = DtsFamily.classification.__set__
 _set_budget = DtsFamily.budget.__set__
 
 
-def classify(sets: Iterable[SupportLike], budget: int | None = None) -> DtsFamily:
+def classify(sets: Iterable[Iterable[int]], budget: int | None = None) -> DtsFamily:
     """Classify a family, recomputing the verdict from scratch.
 
     An explicit ``budget`` caps the admissible differences at {1..budget};
@@ -200,17 +172,17 @@ def classify(sets: Iterable[SupportLike], budget: int | None = None) -> DtsFamil
     members = tuple(as_support(s) for s in sets)
     if not members:
         raise ValueError("cannot classify an empty family")
-    w = members[0].weight
-    if any(s.weight != w for s in members):
+    w = len(members[0])
+    if any(len(s) != w for s in members):
         raise ValueError("all sets in a family must share one cardinality")
 
-    collisions = repeated_differences(s.elements for s in members)
+    collisions = repeated_differences(members)
     if any(len(c.entries) == 1 for c in collisions):
         return DtsFamily(members, DtsClass.NOT_WDTS, None)
     if w == 1 or collisions:
         return DtsFamily(members, DtsClass.WDTS, None)
 
-    observed = max(s.scope - s.elements[0] for s in members)
+    observed = max(s[-1] - s[0] for s in members)
     m = observed if budget is None else budget
     if m < observed:
         return DtsFamily(members, DtsClass.DTS, None)
@@ -222,7 +194,7 @@ def classify(sets: Iterable[SupportLike], budget: int | None = None) -> DtsFamil
     return DtsFamily(members, DtsClass.STRONG, m)
 
 
-def _wdts_candidates(w: int, max_scope: int) -> list[tuple[SupportSet, int]]:
+def _wdts_candidates(w: int, max_scope: int) -> list[tuple[tuple[int, ...], int]]:
     """Every normalized w-set with scope <= max_scope and distinct differences.
 
     Each set comes with its difference mask: bit d is set for every positive
@@ -238,7 +210,7 @@ def _wdts_candidates(w: int, max_scope: int) -> list[tuple[SupportSet, int]]:
                 break
             mask |= bit
         else:
-            out.append((SupportSet(elems), mask))
+            out.append((elems, mask))
     return out
 
 
@@ -275,9 +247,11 @@ def search_strong_dts(r: int, w: int, max_scope: int) -> Iterator[DtsFamily]:
     tightest budget M, read off the union mask's top bit. As in
     :func:`classify`, the family is FULL_STRONG iff M = r * C(w,2), the
     count of its distinct differences, so no family calls :func:`classify`.
-    Families are built through the slot descriptors, not the
-    constructor, because ``__init__`` calls ``object.__setattr__`` once
-    per field; each is still an ordinary immutable :class:`DtsFamily`.
+    A family's sets are the candidates' own tuples, so a stream holds one
+    object per distinct set. Families are built through the slot
+    descriptors, not the constructor, because ``__init__`` calls
+    ``object.__setattr__`` once per field; each is still an ordinary
+    immutable :class:`DtsFamily`.
     """
     _check_search_args(r, w, max_scope)
 

@@ -155,9 +155,7 @@ def validate_tables() -> None:
             (row.t_sets, row.g_x, "X"),
             (row.z_sets, row.g_z, "Z"),
         ):
-            converted = tuple(
-                from_one_based(s).elements for s in one_based
-            )
+            converted = tuple(from_one_based(s) for s in one_based)
             if converted != zero_based:
                 raise AssertionError(
                     f"table {row.table_id} row {row.row_no}: {label} sets "

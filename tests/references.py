@@ -11,13 +11,12 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from qccdts import DtsFamily, Gf2Poly, SupportSet, classify
+from qccdts import DtsFamily, Gf2Poly, classify
 
 
-def positive_differences(t: SupportSet | Sequence[int]) -> tuple[int, ...]:
+def positive_differences(t: Sequence[int]) -> tuple[int, ...]:
     """All C(w,2) pairwise positive differences, with multiplicity, sorted."""
-    elements = t.elements if isinstance(t, SupportSet) else sorted(t)
-    return tuple(sorted(b - a for a, b in itertools.combinations(elements, 2)))
+    return tuple(sorted(b - a for a, b in itertools.combinations(sorted(t), 2)))
 
 
 def reflect_family(family: DtsFamily) -> DtsFamily:
@@ -29,6 +28,6 @@ def reflect_family(family: DtsFamily) -> DtsFamily:
     supports of ``build_z``.
     """
     return classify(
-        [Gf2Poly(s.elements).reverse(family.scope).support for s in family.sets],
+        [Gf2Poly(s).reverse(family.scope).support for s in family.sets],
         budget=family.budget,
     )

@@ -87,7 +87,7 @@ def test_criterion_1_example_pair_end_to_end():
 
     if str(x) != "(1+D, 1+D^2, 1)":
         failures.append(f"X(D) is {x}")
-    got_reflected = sorted(tuple(e + 1 for e in s.elements) for s in reflected.sets)
+    got_reflected = sorted(tuple(e + 1 for e in s) for s in reflected.sets)
     if got_reflected != [(1, 3), (2, 3)]:
         failures.append(f"reflected family (1-based) is {got_reflected}")
     if str(z_swap) != "(1+D^2, D+D^2, 1)":

@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "ONE",
     "PolyMatrix",
     "ReflectionSymmetryReport",
-    "SupportSet",
     "SymplecticReport",
     "TABLE_ROWS",
     "TableRow",

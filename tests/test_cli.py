@@ -6,7 +6,6 @@ import hashlib
 import io
 import itertools
 import json
-import operator
 import os
 import pathlib
 import subprocess
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 
 from qccdts import cli, reflect
 from qccdts.cli import main
-from qccdts.dts import DtsClass, DtsFamily, SupportSet, search_strong_dts
+from qccdts.dts import DtsClass, DtsFamily, search_strong_dts
 
 # `qccdts distance --json` on the 14 catalogue rows and on three colliding
 # (not self-orthogonal) rows under --budget 4, 5 and 6, recorded before the
@@ -950,7 +949,7 @@ def _documented_line(family: DtsFamily) -> str:
     """The search line README documents, written by ``json.dumps``."""
     return json.dumps({
         "one_based": False,
-        "sets": [list(s.elements) for s in family.sets],
+        "sets": [list(s) for s in family.sets],
         "classification": family.classification.name,
         "scope": family.budget,
         "budget": family.budget,
@@ -973,15 +972,15 @@ def test_search_lines_match_json_dumps_on_streams(shape):
 
 
 def _family(sets, classification=DtsClass.STRONG, budget=None) -> DtsFamily:
-    members = tuple(SupportSet(tuple(s)) for s in sets)
+    members = tuple(tuple(s) for s in sets)
     if budget is None:
-        budget = max(s.scope for s in members)
+        budget = max(s[-1] for s in members)
     return DtsFamily(members, classification, budget)
 
 
 def test_search_lines_match_json_dumps_on_hand_built_families():
-    # Every family is built from fresh SupportSet objects, so a head equal
-    # by value is never the same object; the head changes at each depth.
+    # Every family is built from fresh tuples, so a head equal by value is
+    # never the same object; the head changes at each depth.
     families = [
         _family([[0, 1], [0, 2], [0, 3]], DtsClass.FULL_STRONG, 3),
         _family([[0, 1], [0, 2], [0, 4]]),
@@ -1020,30 +1019,26 @@ def test_search_lines_render_each_head_once_per_run(monkeypatch):
 
 
 @pytest.mark.parametrize("shape", RENDER_SHAPES, ids=str)
-def test_search_lines_compare_sets_by_value_only_under_a_kept_last_head_set(
-    shape, monkeypatch
-):
-    # The engine yields one object per distinct set, so identity tells its
-    # heads apart. A head change whose last set is another object makes no
-    # Python-level SupportSet comparison; one that keeps it makes one.
+def test_search_lines_compare_heads_by_value(shape, monkeypatch):
+    # The engine shares one tuple per distinct set; copies of every set
+    # must give the same runs, each head rendered once, and the same lines.
+    lookups = []
+
+    class CountingTexts(cli._SetTexts):
+        def __getitem__(self, elements):
+            lookups.append(elements)
+            return super().__getitem__(elements)
+
+    monkeypatch.setattr(cli, "_SetTexts", CountingTexts)
     families = list(search_strong_dts(*shape))
-    kept_last = 0
-    for before, after in zip(families, families[1:]):
-        old, new = before.sets[:-1], after.sets[:-1]
-        if new and new[-1] is old[-1] and any(map(operator.is_not, new, old)):
-            kept_last += 1
-    calls = []
-    compare = SupportSet.__eq__
-
-    def counting(self, other):
-        calls.append((self, other))
-        return compare(self, other)
-
-    monkeypatch.setattr(SupportSet, "__eq__", counting)
-    lines = list(cli._search_lines(families))
-    monkeypatch.undo()
-    assert len(calls) == kept_last
-    assert lines == [_documented_line(f) for f in families]
+    copies = [
+        _family([list(s) for s in f.sets], f.classification, f.budget)
+        for f in families
+    ]
+    assert all(c.sets[0] is not f.sets[0] for f, c in zip(families, copies))
+    runs = sum(1 for _ in itertools.groupby(families, key=lambda f: f.sets[:-1]))
+    assert list(cli._search_lines(copies)) == [_documented_line(f) for f in families]
+    assert len(lookups) == len(families) + (shape[0] - 1) * runs
 
 
 def test_search_lines_stream_one_family_per_line():

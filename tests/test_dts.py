@@ -10,40 +10,66 @@ from qccdts import (
     DtsClass,
     DtsFamily,
     PolyMatrix,
-    SupportSet,
     classify,
     from_one_based,
     is_csoc,
     search_strong_dts,
 )
-from qccdts.dts import repeated_differences
+from qccdts.cli import _code_input, _format_sets
+from qccdts.dts import as_support, repeated_differences
+
 
 class TestSupportSet:
+    """A support set is a plain sorted tuple, checked by ``as_support``."""
+
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            SupportSet((-1, 0))
+        with pytest.raises(ValueError, match="^element -1 must be a non-negative integer$"):
+            as_support((-1, 0))
+
+    def test_rejects_non_integer(self):
+        with pytest.raises(ValueError, match="^element 1.5 must be a non-negative integer$"):
+            as_support((0, 1.5))
 
     def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            SupportSet.from_iterable([1, 1, 3])
+        with pytest.raises(ValueError, match=r"^elements \(1, 1, 3\) must strictly increase$"):
+            as_support([1, 3, 1])
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            SupportSet(())
+        with pytest.raises(ValueError, match="^support set must be nonempty$"):
+            as_support(())
 
     def test_str(self):
-        assert str(SupportSet((0, 1, 3))) == "{0, 1, 3}"
+        assert _format_sets([as_support((3, 0, 1))]) == "{0, 1, 3}"
+
+
+def test_family_sets_are_plain_int_tuples():
+    assert classify([(3, 0, 1)]).sets == ((0, 1, 3),)
+    one_based = _code_input({"T": [[2, 1], [1, 3]], "Z": [[3, 1], [2, 3]]}, None)
+    zero_based = _code_input({"T": [[1, 0], [0, 2]], "Z": [[2, 0], [1, 2]]}, False)
+    assert one_based.family.sets == zero_based.family.sets == ((0, 1), (0, 2))
+    assert one_based.z_sets == zero_based.z_sets == [(0, 2), (1, 2)]
+    sources = {
+        "classify": classify([(3, 0, 1), [9, 4, 0]]).sets,
+        "from_one_based": [from_one_based([2, 1, 4])],
+        "search_strong_dts": [s for f in search_strong_dts(3, 2, 8) for s in f.sets],
+        "_code_input T": one_based.family.sets + zero_based.family.sets,
+        "_code_input Z": one_based.z_sets + zero_based.z_sets,
+    }
+    for name, sets in sources.items():
+        assert sets, name
+        for s in sets:
+            assert type(s) is tuple and all(type(e) is int for e in s), name
 
 
 class TestFromOneBased:
     def test_basic(self):
-        assert from_one_based((1, 5, 10)).elements == (0, 4, 9)
+        assert from_one_based((1, 5, 10)) == (0, 4, 9)
 
     def test_singleton(self):
-        assert from_one_based((1,)).elements == (0,)
+        assert from_one_based((1,)) == (0,)
 
     def test_large_row(self):
-        assert from_one_based((1, 6, 14, 23)).elements == (0, 5, 13, 22)
+        assert from_one_based((1, 6, 14, 23)) == (0, 5, 13, 22)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError, match="0-based or malformed"):
@@ -110,16 +136,13 @@ class TestClassify:
 
 class TestSearch:
     def test_includes_example_family(self):
-        families = [
-            tuple(s.elements for s in fam.sets)
-            for fam in search_strong_dts(2, 2, 2)
-        ]
+        families = [fam.sets for fam in search_strong_dts(2, 2, 2)]
         assert ((0, 1), (0, 2)) in families
 
     def test_minimal_scope_single_set(self):
         families = list(search_strong_dts(1, 2, 1))
         assert len(families) == 1
-        assert families[0].sets[0].elements == (0, 1)
+        assert families[0].sets[0] == (0, 1)
 
     def test_two_sets_need_scope_two(self):
         assert list(search_strong_dts(2, 2, 1)) == []
@@ -139,10 +162,10 @@ class TestSearch:
             assert re.classification == fam.classification
 
     def test_deterministic_order(self):
-        first = [str(f) for f in search_strong_dts(3, 2, 6)]
-        second = [str(f) for f in search_strong_dts(3, 2, 6)]
+        first = list(search_strong_dts(3, 2, 6))
+        second = list(search_strong_dts(3, 2, 6))
         assert first == second
-        canon = [tuple(s.elements for s in f.sets) for f in search_strong_dts(3, 2, 6)]
+        canon = [f.sets for f in first]
         assert canon == sorted(canon)
 
     def test_full_strong_counting_identity(self):
@@ -216,7 +239,7 @@ def _brute_force_strong(r: int, w: int, scope: int) -> list[tuple]:
 )
 def test_search_matches_brute_force(r, w, scope):
     found = [
-        (tuple(s.elements for s in fam.sets), fam.classification, fam.budget)
+        (fam.sets, fam.classification, fam.budget)
         for fam in search_strong_dts(r, w, scope)
     ]
     assert found == _brute_force_strong(r, w, scope)

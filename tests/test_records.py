@@ -1,4 +1,4 @@
-"""The value semantics of the package's twelve record classes, pinned.
+"""The value semantics of the package's eleven record classes, pinned.
 
 Each record compares equal to a twin built the same way and hashes as
 the tuple of its field values; its repr is ``Name(field=value, ...)``
@@ -19,7 +19,6 @@ from qccdts import (
     DifferenceCollision,
     Gf2Poly,
     PolyMatrix,
-    SupportSet,
     TableRow,
     build_z,
     certify_dfree,
@@ -50,18 +49,14 @@ RECORDS = {
         _x,
         "PolyMatrix(entries=((Gf2Poly('1+D'), Gf2Poly('1+D^2'), Gf2Poly('1')),))",
     ),
-    "SupportSet": (
-        lambda: SupportSet((0, 1, 3)),
-        "SupportSet(elements=(0, 1, 3))",
-    ),
     "DifferenceCollision": (
         lambda: DifferenceCollision(2, (1, 2)),
         "DifferenceCollision(difference=2, entries=(1, 2))",
     ),
     "DtsFamily": (
         lambda: classify([(0, 1), (0, 2)]),
-        "DtsFamily(sets=(SupportSet(elements=(0, 1)), SupportSet(elements=(0, 2))),"
-        " classification=<DtsClass.FULL_STRONG: 4>, budget=2)",
+        "DtsFamily(sets=((0, 1), (0, 2)), classification=<DtsClass.FULL_STRONG: 4>,"
+        " budget=2)",
     ),
     "CsocReport": (
         lambda: is_csoc(PolyMatrix.from_supports([[(0, 1), (0, 1, 2), (0,)]])),
@@ -104,10 +99,9 @@ RECORDS = {
             {"T": [[1, 2], [1, 2]], "Z": [[1, 3], [2, 3]], "pi": [2, 1], "m": 2},
             None,
         ),
-        "CodeInput(family=DtsFamily(sets=(SupportSet(elements=(0, 1)),"
-        " SupportSet(elements=(0, 1))), classification=<DtsClass.WDTS: 1>,"
-        " budget=None), z_sets=[SupportSet(elements=(0, 2)),"
-        " SupportSet(elements=(1, 2))], pi=(2, 1), expected_m=2, expected_w=None,"
+        "CodeInput(family=DtsFamily(sets=((0, 1), (0, 1)),"
+        " classification=<DtsClass.WDTS: 1>, budget=None), z_sets=[(0, 2), (1, 2)],"
+        " pi=(2, 1), expected_m=2, expected_w=None,"
         " notes=['family classifies as WDTS, not STRONG; self-orthogonality and"
         " distance guarantees lapse'])",
     ),
@@ -126,7 +120,7 @@ def record(request):
 
 
 def test_every_record_class_is_covered():
-    assert len(RECORDS) == 12
+    assert len(RECORDS) == 11
 
 
 def test_twin_compares_and_hashes_equal(record):

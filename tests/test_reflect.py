@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 from qccdts import (
+    Gf2Poly,
     PolyMatrix,
     build_systematic_x,
     build_z,
@@ -21,24 +22,24 @@ from references import positive_differences, reflect_family
 class TestReflectFamily:
     def test_running_example(self, example_family):
         reflected = reflect_family(example_family)
-        assert [s.elements for s in reflected.sets] == [(1, 2), (0, 2)]
+        assert reflected.sets == ((1, 2), (0, 2))
 
     def test_table_instance(self):
         fam = classify([(0, 1, 3), (0, 4, 9)])
         reflected = reflect_family(fam)
-        assert [s.elements for s in reflected.sets] == [(6, 8, 9), (0, 5, 9)]
+        assert reflected.sets == ((6, 8, 9), (0, 5, 9))
 
     def test_palindromic_fixed_point(self):
         fam = classify([(0, 2)])
         reflected = reflect_family(fam)
-        assert [s.elements for s in reflected.sets] == [(0, 2)]
+        assert reflected.sets == ((0, 2),)
 
     def test_window_must_match_scope(self, example_family):
         # the window is the scope: a smaller one cannot hold the sets
         reflected = reflect_family(example_family)
         assert reflected.scope == example_family.scope
         with pytest.raises(ValueError, match="reversal window"):
-            example_family.sets[1].to_poly().reverse(1)
+            Gf2Poly(example_family.sets[1]).reverse(1)
 
     def test_involution(self):
         for fam in search_strong_dts(2, 3, 9):
@@ -87,7 +88,7 @@ class TestBuildZ:
             reflected = reflect_family(fam)
             for pi in permutations(range(1, fam.size + 1)):
                 z = build_z(x, pi)
-                want = tuple(reflected.sets[pi[j] - 1].elements for j in range(fam.size))
+                want = tuple(reflected.sets[pi[j] - 1] for j in range(fam.size))
                 assert parity_supports(z) == want
 
     def test_memory_preserved(self):

@@ -69,7 +69,7 @@ class TestPerRow:
     def test_reflection_reproduces_z_family(self, row):
         fam = classify(list(row.g_x))
         reflected = reflect_family(fam)
-        assert sorted(s.elements for s in reflected.sets) == sorted(
+        assert sorted(reflected.sets) == sorted(
             tuple(s) for s in row.g_z
         )
 

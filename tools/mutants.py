@@ -1,0 +1,281 @@
+"""Hand-run mutation gate: each recorded mutant must fail the tests it names.
+
+    python3 tools/mutants.py            # every mutant
+    python3 tools/mutants.py NAME ...   # only these, named as in MUTANTS
+
+Each record in ``MUTANTS`` names a module under ``src/qccdts``, an exact
+text that must occur in it exactly once, the text that replaces it, and
+the test files to run. The tool copies the repository (without ``.git``
+and caches) to a temporary directory and first runs each named group of
+test files on the unmutated copy, which must pass. Then, one mutant at a
+time, it writes the mutated module into the copy, runs
+``pytest -x -q`` on the mutant's test files and restores the module. A
+mutant is ``killed`` when the tests fail or time out, and ``SURVIVED``
+when they pass. A record whose text does not occur exactly once, or
+whose mutated module does not compile, is an error, never a kill, and so
+is a failing unmutated run.
+
+Exit status: 0 when every mutant is killed, 1 when one survives, 2 on a
+broken record or a failing unmutated run. It uses only the standard
+library and pytest; no test suite runs it. A change that mends or adds a
+mutant records it here rather than describing it in prose.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 600
+
+# cli._search_lines's loop, and the mutant of it that buffers each run.
+_RENDER_LOOP = '''\
+    head = prefix = None
+    for f in families:
+        sets = f.sets
+        if sets[:-1] != head:
+            head = sets[:-1]
+            prefix = '{"one_based": false, "sets": [' + "".join(
+                [texts[s] + ", " for s in head]
+            )
+        yield prefix + texts[sets[-1]] + tails[f.classification, f.budget]
+'''
+_BUFFERED_LOOP = '''\
+    head = prefix = None
+    run = []
+    for f in families:
+        sets = f.sets
+        if sets[:-1] != head:
+            yield from run
+            run = []
+            head = sets[:-1]
+            prefix = '{"one_based": false, "sets": [' + "".join(
+                [texts[s] + ", " for s in head]
+            )
+        run.append(prefix + texts[sets[-1]] + tails[f.classification, f.budget])
+    yield from run
+'''
+
+# (name, module, old text, new text, test files)
+MUTANTS = [
+    # The support check in dts.as_support.
+    (
+        "as_support accepts a negative element",
+        "dts.py",
+        "if not isinstance(e, int) or e < 0:",
+        "if not isinstance(e, int):",
+        ("tests/test_dts.py",),
+    ),
+    (
+        "as_support accepts a repeat (e < prev)",
+        "dts.py",
+        "        if e <= prev:",
+        "        if e < prev:",
+        ("tests/test_dts.py",),
+    ),
+    (
+        "as_support accepts an empty set",
+        "dts.py",
+        '    if not elements:\n        raise ValueError("support set must be nonempty")\n',
+        "",
+        ("tests/test_dts.py",),
+    ),
+    # The search line renderer, cli._search_lines.
+    (
+        "search head compared by identity",
+        "cli.py",
+        "if sets[:-1] != head:",
+        "if sets[:-1] is not head:",
+        ("tests/test_cli.py",),
+    ),
+    (
+        "search line tail keyed by budget alone",
+        "cli.py",
+        "tails[f.classification, f.budget]",
+        "tails.setdefault(f.budget, tails[f.classification, f.budget])",
+        ("tests/test_cli.py",),
+    ),
+    (
+        'search line drops ", " after a one-set prefix (r = 2)',
+        "cli.py",
+        '[texts[s] + ", " for s in head]',
+        '[texts[s] + (", " if len(head) != 1 else "") for s in head]',
+        ("tests/test_cli.py",),
+    ),
+    (
+        "search lines buffered per run",
+        "cli.py",
+        _RENDER_LOOP,
+        _BUFFERED_LOOP,
+        ("tests/test_cli.py",),
+    ),
+    (
+        "search argument checks skipped under --limit 0",
+        "cli.py",
+        "    _check_search_args(args.r, args.w, args.max_scope)\n",
+        "",
+        ("tests/test_cli.py",),
+    ),
+    # FULL_STRONG by count in dts.search_strong_dts.
+    (
+        "perfect count + 1",
+        "dts.py",
+        "    perfect = r * (w * (w - 1) // 2)\n",
+        "    perfect = r * (w * (w - 1) // 2) + 1\n",
+        ("tests/test_dts.py",),
+    ),
+    (
+        "perfect count - 1",
+        "dts.py",
+        "    perfect = r * (w * (w - 1) // 2)\n",
+        "    perfect = r * (w * (w - 1) // 2) - 1\n",
+        ("tests/test_dts.py",),
+    ),
+    # The one depth-first search, distance._lightest, and its callers.
+    (
+        "flush-only search also completes at last",
+        "distance.py",
+        "if not nxt or (window and t == last):",
+        "if not nxt or t == last:",
+        ("tests/test_distance.py",),
+    ),
+    (
+        "search descends at t == last",
+        "distance.py",
+        "            elif t < last:",
+        "            elif t <= last:",
+        ("tests/test_distance.py",),
+    ),
+    (
+        "dfree_exact seeded with budget",
+        "distance.py",
+        "depth - 1, budget + 1, window=False)",
+        "depth - 1, budget, window=False)",
+        ("tests/test_distance.py",),
+    ),
+    (
+        "zero first frame allowed",
+        "distance.py",
+        "for u in inputs[1:] if t == 0 else inputs:",
+        "for u in inputs:",
+        ("tests/test_distance.py",),
+    ),
+    (
+        "column seed counts t < j",
+        "distance.py",
+        "sum(t <= j for t in sup)",
+        "sum(t < j for t in sup)",
+        ("tests/test_distance.py",),
+    ),
+    (
+        "register not masked to its frames",
+        "distance.py",
+        "nxt = ((state << streams) | u) & keep",
+        "nxt = (state << streams) | u",
+        ("tests/test_distance.py",),
+    ),
+    # The record base, gf2poly._Record.
+    (
+        "records compare across classes",
+        "gf2poly.py",
+        "        if other.__class__ is not self.__class__:\n"
+        "            return NotImplemented\n",
+        "",
+        ("tests/test_records.py",),
+    ),
+    (
+        "records accept assignment",
+        "gf2poly.py",
+        '        raise AttributeError(f"cannot assign to field {name!r}")',
+        "        object.__setattr__(self, name, value)",
+        ("tests/test_records.py",),
+    ),
+]
+
+
+def _pytest(tree: Path, tests: tuple[str, ...]) -> tuple[int | None, float]:
+    """pytest's exit code on ``tests`` in ``tree`` (None on timeout), and seconds."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")])
+    )
+    start = time.perf_counter()
+    try:
+        code = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT_S,
+        ).returncode
+    except subprocess.TimeoutExpired:
+        code = None
+    return code, time.perf_counter() - start
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("names", nargs="*", help="run only these mutants")
+    args = parser.parse_args(argv)
+
+    unknown = set(args.names) - {name for name, *_ in MUTANTS}
+    if unknown:
+        print(f"error: no mutant named {sorted(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not args.names or m[0] in args.names]
+
+    broken = []
+    for name, module, old, new, _ in chosen:
+        source = (ROOT / "src" / "qccdts" / module).read_text()
+        count = source.count(old)
+        if count != 1:
+            broken.append(f"{name}: text occurs {count} times in {module}")
+            continue
+        try:
+            compile(source.replace(old, new), module, "exec")
+        except SyntaxError as exc:
+            broken.append(f"{name}: mutated {module} does not compile: {exc}")
+    if broken:
+        print("error: broken records\n  " + "\n  ".join(broken), file=sys.stderr)
+        return 2
+
+    with tempfile.TemporaryDirectory(prefix="qccdts-mutants-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis",
+        ))
+        for tests in sorted({m[4] for m in chosen}):
+            code, seconds = _pytest(tree, tests)
+            if code != 0:
+                print(f"error: unmutated {' '.join(tests)} fail (exit {code})",
+                      file=sys.stderr)
+                return 2
+            print(f"baseline  {' '.join(tests)} pass ({seconds:.1f} s)")
+
+        survived = []
+        for name, module, old, new, tests in chosen:
+            path = tree / "src" / "qccdts" / module
+            source = path.read_text()
+            path.write_text(source.replace(old, new))
+            try:
+                code, seconds = _pytest(tree, tests)
+            finally:
+                path.write_text(source)
+            if code == 0:
+                survived.append(name)
+            verdict = "SURVIVED" if code == 0 else "killed"
+            how = "timeout" if code is None else f"{seconds:.1f} s"
+            print(f"{verdict:<9} {name} ({' '.join(tests)}, {how})")
+
+    print(f"{len(chosen)} mutants: {len(chosen) - len(survived)} killed, "
+          f"{len(survived)} survived")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
