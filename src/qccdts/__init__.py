@@ -38,7 +38,6 @@ from .gf2poly import (
     D,
     Gf2Poly,
     PolyMatrix,
-    mat_mul_transpose,
 )
 from .reflect import (
     VerifyReport,
@@ -84,7 +83,6 @@ __all__ = [
     "from_one_based",
     "is_commuting",
     "is_csoc",
-    "mat_mul_transpose",
     "memory",
     "parity_supports",
     "rows_for",

@@ -16,7 +16,7 @@ those messages keep the top-level usage line.
 Input JSON schema (all commands that take ``--input``):
 
     {"n": int, "T": [[int], ...], "Z": [[int], ...] (optional),
-     "pi": [int] (optional, 1-based), "one_based": bool,
+     "pi": [int] (optional, 1-based), "one_based": bool (optional, true),
      "m": int (optional), "w": int (optional)}
 
 ``Z_expected`` is accepted as an alias for ``Z``, and giving both non-null
@@ -56,7 +56,7 @@ from .dts import (
     DtsClass, DtsFamily, _check_search_args, as_support, classify, from_one_based,
     search_strong_dts,
 )
-from .gf2poly import ONE, Gf2Poly, PolyMatrix, _Record
+from .gf2poly import ONE, Gf2Poly, PolyMatrix, _Record, _setattr
 from .reflect import _check_permutation, build_z, identity_permutation, verify_pair
 from .tables import rows_for, validate_tables
 
@@ -71,28 +71,25 @@ TABLE_CHECKS = (
 
 
 class CodeInput(_Record):
-    """A parsed code description; unlike the library's values, mutable."""
+    """A parsed code description."""
 
     __slots__ = ("family", "z_sets", "pi", "expected_m", "expected_w", "notes")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(
         self,
         family: DtsFamily,
-        z_sets: list[tuple[int, ...]] | None,
+        z_sets: tuple[tuple[int, ...], ...] | None,
         pi: tuple[int, ...] | None,
         expected_m: int | None,
         expected_w: int | None,
-        notes: list[str],
+        notes: tuple[str, ...],
     ) -> None:
-        self.family = family
-        self.z_sets = z_sets
-        self.pi = pi
-        self.expected_m = expected_m
-        self.expected_w = expected_w
-        self.notes = notes
+        _setattr(self, "family", family)
+        _setattr(self, "z_sets", z_sets)
+        _setattr(self, "pi", pi)
+        _setattr(self, "expected_m", expected_m)
+        _setattr(self, "expected_w", expected_w)
+        _setattr(self, "notes", notes)
 
 
 # The JSON name of each type json.load produces, for error messages.
@@ -116,7 +113,7 @@ def _optional_int(payload: dict, key: str) -> int | None:
     return value
 
 
-def _parse_sets(raw, one_based: bool, key: str) -> list[tuple[int, ...]]:
+def _parse_sets(raw, one_based: bool, key: str) -> tuple[tuple[int, ...], ...]:
     """0-based support sets from ``raw``; errors quote the sets as written."""
     if not isinstance(raw, list) or not raw or not all(
         isinstance(s, list) and s and all(_is_int(e) for e in s) for s in raw
@@ -133,7 +130,7 @@ def _parse_sets(raw, one_based: bool, key: str) -> list[tuple[int, ...]]:
                 f'"{key}" set {s} holds {min(s)}; {low}-based elements start at {low}'
             )
     convert = from_one_based if one_based else as_support
-    return [convert(s) for s in raw]
+    return tuple([convert(s) for s in raw])
 
 
 def load_code_input(path: str, one_based_override: bool | None) -> CodeInput:
@@ -152,8 +149,10 @@ def _code_input(payload, one_based_override: bool | None) -> CodeInput:
     if not isinstance(payload, dict) or "T" not in payload:
         raise ValueError('input must be a JSON object with a "T" key')
 
-    one_based = payload.get("one_based", True)
-    if not isinstance(one_based, bool):
+    one_based = payload.get("one_based")
+    if one_based is None:
+        one_based = True
+    elif not isinstance(one_based, bool):
         raise ValueError(
             f'"one_based" must be true or false, not {_JSON_TYPES[type(one_based)]}'
         )
@@ -191,10 +190,10 @@ def _code_input(payload, one_based_override: bool | None) -> CodeInput:
         pi=pi,
         expected_m=_optional_int(payload, "m"),
         expected_w=_optional_int(payload, "w"),
-        notes=[] if family.classification >= DtsClass.STRONG else [
+        notes=() if family.classification >= DtsClass.STRONG else (
             f"family classifies as {family.classification}, not STRONG; "
-            "self-orthogonality and distance guarantees lapse"
-        ],
+            "self-orthogonality and distance guarantees lapse",
+        ),
     )
 
 

@@ -57,14 +57,15 @@ class DtsClass(enum.IntEnum):
 def as_support(values: Iterable[int]) -> tuple[int, ...]:
     """``values`` as a support: sorted distinct non-negative integers.
 
-    The one check of a support set; a repeat fails as not strictly increasing.
+    The one check of a support set; a repeat fails as not strictly increasing,
+    and a ``bool`` is not an integer here, though Python makes it an ``int``.
     """
     elements = tuple(sorted(values))
     if not elements:
         raise ValueError("support set must be nonempty")
     prev = -1
     for e in elements:
-        if not isinstance(e, int) or e < 0:
+        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
             raise ValueError(f"element {e!r} must be a non-negative integer")
         if e <= prev:
             raise ValueError(f"elements {elements!r} must strictly increase")
@@ -73,11 +74,14 @@ def as_support(values: Iterable[int]) -> tuple[int, ...]:
 
 
 def from_one_based(elements: Iterable[int]) -> tuple[int, ...]:
-    """Convert a 1-based table set to 0-based exponents (subtract 1)."""
-    elems = list(elements)
-    if any(e == 0 for e in elems):
+    """Convert a 1-based table set to 0-based exponents (subtract 1).
+
+    The set is checked as written, before the subtraction.
+    """
+    elems = as_support(elements)
+    if elems[0] == 0:
         raise ValueError("input is already 0-based or malformed")
-    return as_support(e - 1 for e in elems)
+    return tuple([e - 1 for e in elems])
 
 
 class DifferenceCollision(_Record):

@@ -207,48 +207,9 @@ class PolyMatrix(_Record):
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError(
-                f"shape mismatch: {self.nrows}x{self.ncols} vs "
-                f"{other.nrows}x{other.ncols}"
-            )
-        return PolyMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
-
     def __str__(self) -> str:
         rows = ["(" + ", ".join(str(p) for p in row) + ")" for row in self.entries]
         if len(rows) == 1:
             return rows[0]
         return "[" + "; ".join(rows) + "]"
 
-
-def mat_mul_transpose(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """Compute A(D) * B(D^-1)^T.
-
-    This is the building block of the symplectic product: both matrices
-    must have the same column count; the result is r_A x r_B. Entry
-    (i, j) is built in one pass, from the differences t - u over the tap
-    pairs of row i of A and row j of B in each shared column, folded
-    mod 2.
-    """
-    if a.ncols != b.ncols:
-        raise ValueError(f"column counts differ: {a.ncols} vs {b.ncols}")
-    return PolyMatrix(
-        tuple(
-            tuple(
-                Gf2Poly.from_exponents(
-                    t - u
-                    for p, q in zip(row_a, row_b)
-                    for t in p.support
-                    for u in q.support
-                )
-                for row_b in b.entries
-            )
-            for row_a in a.entries
-        )
-    )

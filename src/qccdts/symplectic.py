@@ -37,7 +37,7 @@ commutation check, with no further content.
 
 from __future__ import annotations
 
-from .gf2poly import PolyMatrix, _Record, _setattr, mat_mul_transpose
+from .gf2poly import Gf2Poly, PolyMatrix, _Record, _setattr
 
 
 class SymplecticReport(_Record):
@@ -60,16 +60,32 @@ class SymplecticReport(_Record):
 def symplectic_sum(x: PolyMatrix, z: PolyMatrix) -> PolyMatrix:
     """X(D) Z(D^-1)^T + Z(D) X(D^-1)^T as a Laurent polynomial matrix.
 
-    Requires matching column counts and equally many X- and Z-rows (the
-    two products must share a shape for the sum to be well formed; the
-    asymmetric case is unsupported).
+    Entry (i, j) is built in one pass: the differences t - u over the tap
+    pairs of (x_i, z_j), then of (z_i, x_j), column by column, folded
+    mod 2. Differing column counts are rejected first, then differing
+    X- and Z-row counts (the asymmetric case is unsupported).
     """
-    xz = mat_mul_transpose(x, z)  # raises on differing column counts
+    if x.ncols != z.ncols:
+        raise ValueError(f"column counts differ: {x.ncols} vs {z.ncols}")
     if x.nrows != z.nrows:
         raise ValueError(
             f"unsupported asymmetric pair: {x.nrows} X-rows vs {z.nrows} Z-rows"
         )
-    return xz + mat_mul_transpose(z, x)
+    return PolyMatrix(
+        tuple(
+            tuple(
+                Gf2Poly.from_exponents(
+                    t - u
+                    for left, right in ((x_i, z_j), (z_i, x_j))
+                    for p, q in zip(left, right)
+                    for t in p.support
+                    for u in q.support
+                )
+                for x_j, z_j in zip(x.entries, z.entries)
+            )
+            for x_i, z_i in zip(x.entries, z.entries)
+        )
+    )
 
 
 def is_commuting(x: PolyMatrix, z: PolyMatrix) -> SymplecticReport:

@@ -45,7 +45,6 @@ PUBLIC_NAMES = [
     "from_one_based",
     "is_commuting",
     "is_csoc",
-    "mat_mul_transpose",
     "memory",
     "parity_supports",
     "rows_for",

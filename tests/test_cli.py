@@ -21,8 +21,10 @@ from qccdts.dts import DtsClass, DtsFamily, search_strong_dts
 
 # `qccdts distance --json` on the 14 catalogue rows and on three colliding
 # (not self-orthogonal) rows under --budget 4, 5 and 6, recorded before the
-# distance searches became shift registers. Each case holds the input JSON,
-# the argv without --input, the exit code and the exact stdout.
+# distance searches became shift registers, then the same 23 commands in
+# text mode ("... text"), recorded before the symplectic sum was built in
+# one pass. Each case holds the input JSON, the argv without --input, the
+# exit code and the exact stdout.
 DISTANCE_CASES = json.loads(
     (pathlib.Path(__file__).parent / "data" / "distance_cli.json").read_text()
 )
@@ -295,6 +297,20 @@ class TestInputTypes:
         code, out, err = self._run(capsys, tmp_path, one_based="false")
         self._assert_input_error(code, out, err, "one_based")
         assert "must be true or false, not string" in err
+
+    def test_null_one_based_is_absent(self, capsys, tmp_path):
+        # null used to exit 2; like any optional field, it reads as absent,
+        # so the sets are 1-based.
+        outputs = []
+        for payload in ({"T": [[1, 2], [1, 3]], "one_based": None},
+                        {"T": [[1, 2], [1, 3]]}):
+            path = tmp_path / "null.json"
+            path.write_text(json.dumps(payload))
+            outputs.append(run_cli(capsys, "build", "--input", str(path)))
+        assert outputs[0] == outputs[1]
+        code, out, err = outputs[0]
+        assert (code, err) == (0, "")
+        assert out.startswith("X(D) = (1+D, 1+D^2, 1)\n")
 
     @pytest.mark.parametrize(
         "field, value",

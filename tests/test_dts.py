@@ -38,6 +38,22 @@ class TestSupportSet:
         with pytest.raises(ValueError, match="^support set must be nonempty$"):
             as_support(())
 
+    def test_rejects_bool(self):
+        # bool is an int subclass; True used to pass as the exponent 1.
+        with pytest.raises(ValueError, match="^element True must be a non-negative integer$"):
+            as_support((True, 3))
+        with pytest.raises(ValueError, match="^element False must be a non-negative integer$"):
+            as_support([2, False])
+
+    def test_from_one_based_rejects_bool(self):
+        # The check runs before the subtraction: True - 1 used to become 0.
+        with pytest.raises(ValueError, match="^element True must be a non-negative integer$"):
+            from_one_based([True, 3])
+
+    def test_classify_rejects_bool(self):
+        with pytest.raises(ValueError, match="^element True must be a non-negative integer$"):
+            classify([(True, 3), (0, 2)])
+
     def test_str(self):
         assert _format_sets([as_support((3, 0, 1))]) == "{0, 1, 3}"
 
@@ -47,7 +63,7 @@ def test_family_sets_are_plain_int_tuples():
     one_based = _code_input({"T": [[2, 1], [1, 3]], "Z": [[3, 1], [2, 3]]}, None)
     zero_based = _code_input({"T": [[1, 0], [0, 2]], "Z": [[2, 0], [1, 2]]}, False)
     assert one_based.family.sets == zero_based.family.sets == ((0, 1), (0, 2))
-    assert one_based.z_sets == zero_based.z_sets == [(0, 2), (1, 2)]
+    assert one_based.z_sets == zero_based.z_sets == ((0, 2), (1, 2))
     sources = {
         "classify": classify([(3, 0, 1), [9, 4, 0]]).sets,
         "from_one_based": [from_one_based([2, 1, 4])],

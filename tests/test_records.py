@@ -3,8 +3,7 @@
 Each record compares equal to a twin built the same way and hashes as
 the tuple of its field values; its repr is ``Name(field=value, ...)``
 (``Gf2Poly`` keeps its own short form); it has fixed slots and no
-``__dict__``; every class but ``CodeInput`` refuses to assign or delete
-a field; and ``copy.deepcopy`` and ``pickle`` give back an equal value.
+``__dict__``; every class refuses to assign or delete a field; and ``copy.deepcopy`` and ``pickle`` give back an equal value.
 """
 
 from __future__ import annotations
@@ -100,17 +99,15 @@ RECORDS = {
             None,
         ),
         "CodeInput(family=DtsFamily(sets=((0, 1), (0, 1)),"
-        " classification=<DtsClass.WDTS: 1>, budget=None), z_sets=[(0, 2), (1, 2)],"
+        " classification=<DtsClass.WDTS: 1>, budget=None), z_sets=((0, 2), (1, 2)),"
         " pi=(2, 1), expected_m=2, expected_w=None,"
-        " notes=['family classifies as WDTS, not STRONG; self-orthogonality and"
-        " distance guarantees lapse'])",
+        " notes=('family classifies as WDTS, not STRONG; self-orthogonality and"
+        " distance guarantees lapse',))",
     ),
 }
 
-# CodeInput holds lists and stays mutable, and VerifyReport holds a dict:
-# neither can be hashed.
-UNHASHABLE = {"CodeInput", "VerifyReport"}
-MUTABLE = {"CodeInput"}
+# VerifyReport holds a dict, so it cannot be hashed.
+UNHASHABLE = {"VerifyReport"}
 
 
 @pytest.fixture(params=sorted(RECORDS), ids=str)
@@ -142,16 +139,11 @@ def test_repr_is_pinned(record):
 
 
 def test_fields_are_fixed_slots(record):
-    name, factory, _ = record
+    _, factory, _ = record
     value = factory()
     assert not hasattr(value, "__dict__")
     for field in type(value).__slots__:
         before = getattr(value, field)
-        if name in MUTABLE:
-            setattr(value, field, None)
-            assert getattr(value, field) is None
-            setattr(value, field, before)
-            continue
         with pytest.raises(AttributeError):
             setattr(value, field, before)
         with pytest.raises(AttributeError):

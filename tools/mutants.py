@@ -69,8 +69,15 @@ MUTANTS = [
     (
         "as_support accepts a negative element",
         "dts.py",
+        "if not isinstance(e, int) or isinstance(e, bool) or e < 0:",
+        "if not isinstance(e, int) or isinstance(e, bool):",
+        ("tests/test_dts.py",),
+    ),
+    (
+        "as_support accepts a bool",
+        "dts.py",
+        "if not isinstance(e, int) or isinstance(e, bool) or e < 0:",
         "if not isinstance(e, int) or e < 0:",
-        "if not isinstance(e, int):",
         ("tests/test_dts.py",),
     ),
     (
@@ -86,6 +93,18 @@ MUTANTS = [
         '    if not elements:\n        raise ValueError("support set must be nonempty")\n',
         "",
         ("tests/test_dts.py",),
+    ),
+    # The input parser, cli._code_input.
+    (
+        "one_based null rejected again",
+        "cli.py",
+        '    one_based = payload.get("one_based")\n'
+        "    if one_based is None:\n"
+        "        one_based = True\n"
+        "    elif not isinstance(one_based, bool):\n",
+        '    one_based = payload.get("one_based", True)\n'
+        "    if not isinstance(one_based, bool):\n",
+        ("tests/test_cli.py",),
     ),
     # The search line renderer, cli._search_lines.
     (
@@ -180,6 +199,28 @@ MUTANTS = [
         "nxt = ((state << streams) | u) & keep",
         "nxt = (state << streams) | u",
         ("tests/test_distance.py",),
+    ),
+    # The one-pass sum, symplectic.symplectic_sum.
+    (
+        "symplectic sum drops the (z_i, x_j) half",
+        "symplectic.py",
+        "for left, right in ((x_i, z_j), (z_i, x_j))",
+        "for left, right in ((x_i, z_j),)",
+        ("tests/test_gf2poly.py", "tests/test_symplectic.py"),
+    ),
+    (
+        "symplectic sum adds t + u",
+        "symplectic.py",
+        "                    t - u\n",
+        "                    t + u\n",
+        ("tests/test_gf2poly.py", "tests/test_symplectic.py"),
+    ),
+    (
+        "symplectic sum takes abs(t - u)",
+        "symplectic.py",
+        "                    t - u\n",
+        "                    abs(t - u)\n",
+        ("tests/test_gf2poly.py", "tests/test_symplectic.py"),
     ),
     # The record base, gf2poly._Record.
     (
