@@ -21,6 +21,17 @@ holds its guards (budget MAX_EXACT_BUDGET, memory MAX_EXACT_MEMORY):
 dfree_exact raises its message before building a register, certify_dfree
 skips its cross-check on it and the CLI checks ``--budget`` with it.
 Column-distance windows are capped at MAX_WINDOW_BITS information bits.
+
+A path one below the incumbent is settled by a walk instead of a
+subtree: every nonzero frame and every parity 1 adds weight, so only its
+all-zero tail can still finish lighter, and the walk follows that one
+tail until a parity 1 drops it or the path completes. The walk visits the
+one path of the subtree that the weight bound leaves unpruned, so every
+result is unchanged; on Z of catalogue rows 3.3 and 3.4 it cuts the
+search nodes from about 350,000 to 24,000.
+
+Every entry point rejects a row with a negative exponent (a Laurent
+term) before any work, since the encoder runs forward from time 0.
 """
 
 from __future__ import annotations
@@ -66,6 +77,18 @@ class DistanceCertificate(_Record):
         _setattr(self, "method", method)
         _setattr(self, "witness", witness)
         _setattr(self, "search_budget", search_budget)
+
+
+def _causal_supports(x: PolyMatrix) -> tuple[tuple[int, ...], ...]:
+    """Parity supports of a systematic row, none with a negative exponent."""
+    supports = parity_supports(x)
+    for i, sup in enumerate(supports):
+        if sup and sup[0] < 0:
+            raise ValueError(
+                f"stream {i + 1} has negative exponent {sup[0]}; "
+                "distances need exponents >= 0"
+            )
+    return supports
 
 
 def _shift_register(
@@ -124,6 +147,14 @@ def _lightest(
     a register of ``frames`` frames. One completes when the register
     flushes or, with ``window``, at time ``last``; a flushed window may
     complete early, as its later frames can all be zero and add no weight.
+
+    A path that reaches weight ``best - 1`` before ``last`` can still
+    complete below ``best`` only through all-zero frames that add no
+    parity 1, since any other frame or parity bit weighs at least 1. So
+    the search walks that one tail in a loop instead of calling
+    ``descend`` at each step: a parity 1 drops the path, and a flush or,
+    with ``window``, time ``last`` completes it at ``best - 1``. Reaching
+    ``last`` unflushed without ``window`` drops it, as the subtree would.
     """
     streams = len(supports)
     keep, taps, pop, par0 = _shift_register(supports, frames)
@@ -140,7 +171,17 @@ def _lightest(
             if not nxt or (window and t == last):
                 best = w2
             elif t < last:
-                descend(t + 1, nxt, w2)
+                if w2 < best - 1:
+                    descend(t + 1, nxt, w2)
+                    continue
+                # Only the zero tail stays below best: walk it, no subtree.
+                for s in range(t + 1, last + 1):
+                    if (nxt & taps).bit_count() & 1:
+                        break
+                    nxt = (nxt << streams) & keep
+                    if not nxt or (window and s == last):
+                        best = w2
+                        break
 
     descend(0, 0, 0)
     return best
@@ -154,7 +195,7 @@ def column_distance(h: PolyMatrix, j: int) -> int:
     every window that could be lighter. A window of j frames looks back
     at most j frames, so the register holds min(mu, j) of them.
     """
-    supports = parity_supports(h)
+    supports = _causal_supports(h)
     if j < 0:
         raise ValueError("window index must be non-negative")
     streams = len(supports)
@@ -174,7 +215,7 @@ def dfree_upper(x: PolyMatrix) -> DistanceCertificate:
     weight equal to the tap count of x_i, so total weight w_i + 1. Ties
     are broken toward the smallest stream index.
     """
-    supports = parity_supports(x)
+    supports = _causal_supports(x)
     weights = [len(s) for s in supports]
     stream = min(range(len(weights)), key=lambda i: (weights[i], i))
     sup = supports[stream]
@@ -206,7 +247,7 @@ def dfree_exact(
     to all zero. The default horizon budget * (mu + 1) frames is enough
     for any codeword within budget; raise it only for diagnostics.
     """
-    supports = parity_supports(x)
+    supports = _causal_supports(x)
     mu = memory(x)
     if reason := exact_search_guard(budget, mu):
         raise ValueError(reason)
@@ -222,10 +263,10 @@ def certify_dfree(x: PolyMatrix) -> DistanceCertificate:
     guards allow it, the exact search is also run and must agree, in
     which case the exhausted budget is recorded on the certificate.
     """
+    upper = dfree_upper(x)  # first, as it rejects a negative exponent
     report = is_csoc(x)
     if not report.ok:
         raise ValueError("certificate requires CSOC; input row is not")
-    upper = dfree_upper(x)
     target = upper.d_free
 
     search_budget = None

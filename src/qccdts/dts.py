@@ -59,14 +59,18 @@ def as_support(values: Iterable[int]) -> tuple[int, ...]:
 
     The one check of a support set; a repeat fails as not strictly increasing,
     and a ``bool`` is not an integer here, though Python makes it an ``int``.
+    Each element is checked before the sort, which could not order a
+    ``str`` or ``None`` among integers.
     """
-    elements = tuple(sorted(values))
+    elements = tuple(values)
     if not elements:
         raise ValueError("support set must be nonempty")
-    prev = -1
     for e in elements:
         if not isinstance(e, int) or isinstance(e, bool) or e < 0:
             raise ValueError(f"element {e!r} must be a non-negative integer")
+    elements = tuple(sorted(elements))
+    prev = -1
+    for e in elements:
         if e <= prev:
             raise ValueError(f"elements {elements!r} must strictly increase")
         prev = e

@@ -23,6 +23,7 @@ from qccdts import (
     parity_supports,
     search_strong_dts,
 )
+from qccdts import distance
 from qccdts.distance import MAX_WINDOW_BITS
 from qccdts.tables import TABLE_ROWS
 
@@ -440,12 +441,62 @@ class TestTableDistances:
             x = PolyMatrix.from_supports([list(row.g_x) + [(0,)]])
             assert dfree_exact(x, budget=row.w + 1) == row.w + 1
 
+    def test_exact_search_confirms_every_certificate(self, monkeypatch):
+        # The library's guard skips the search at memory > 12, which covers
+        # rows 1.5 and 3.1-3.4. Lifted here to the catalogue's largest
+        # memory, the search must still find d_free = w + 1 on X and Z of
+        # every row. Z of rows 3.3 and 3.4 is the heaviest case, which the
+        # zero-tail walk keeps to about 24,000 frames each.
+        monkeypatch.setattr(distance, "MAX_EXACT_MEMORY", max(r.m for r in TABLE_ROWS))
+        for row in TABLE_ROWS:
+            for name, sets in (("X", row.g_x), ("Z", row.g_z)):
+                h = _row(*sets, (0,))
+                assert dfree_exact(h, budget=row.w + 1) == row.w + 1, (
+                    row.table_id, row.row_no, name,
+                )
+
     def test_every_row_has_verified_witness(self):
         for row in TABLE_ROWS:
             x = PolyMatrix.from_supports([list(row.g_x) + [(0,)]])
             cert = dfree_upper(x)
             assert cert.d_free == row.w + 1
             _verify_witness(x, cert.witness, row.w + 1)
+
+
+class TestNegativeExponent:
+    """A row with a Laurent term has no encoder running forward from time 0.
+
+    Each entry point rejects it before any other check or search: the
+    shift register holds no negative delay, and the impulse witness would
+    start before time 0.
+    """
+
+    CALLS = {
+        "column_distance": lambda h: column_distance(h, -1),
+        "dfree_exact": lambda h: dfree_exact(h, budget=7),
+        "dfree_upper": dfree_upper,
+        "certify_dfree": certify_dfree,
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    @pytest.mark.parametrize(
+        "supports, stream, exponent",
+        [
+            (((-1, 2),), 1, -1),
+            (((0, 1), (-3, 0, 40)), 2, -3),
+            # Not CSOC either: the exponent is still what is reported.
+            (((-2, -1, 0),), 1, -2),
+        ],
+    )
+    def test_rejected_first(self, call, supports, stream, exponent):
+        # Window -1, budget 7 and memory 40 would each fail their own
+        # guard; the exponent check runs before them.
+        with pytest.raises(
+            ValueError,
+            match=f"^stream {stream} has negative exponent {exponent}; "
+            "distances need exponents >= 0$",
+        ):
+            call(_row(*supports, (0,)))
 
 
 class TestRecordedPool:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -53,6 +54,20 @@ class TestSupportSet:
     def test_classify_rejects_bool(self):
         with pytest.raises(ValueError, match="^element True must be a non-negative integer$"):
             classify([(True, 3), (0, 2)])
+
+    @pytest.mark.parametrize("bad", ["a", None, (1,), 2.0], ids=repr)
+    def test_rejects_unsortable_elements_as_value_error(self, bad):
+        # The elements are checked before the sort, which cannot order a
+        # str or None among integers.
+        message = f"^element {re.escape(repr(bad))} must be a non-negative integer$"
+        with pytest.raises(ValueError, match=message):
+            as_support([0, bad])
+        with pytest.raises(ValueError, match=message):
+            as_support([bad, 3, 1])
+        with pytest.raises(ValueError, match=message):
+            from_one_based([1, bad])
+        with pytest.raises(ValueError, match=message):
+            classify([(0, 2), (0, bad)])
 
     def test_str(self):
         assert _format_sets([as_support((3, 0, 1))]) == "{0, 1, 3}"

@@ -88,6 +88,13 @@ MUTANTS = [
         ("tests/test_dts.py",),
     ),
     (
+        "as_support sorts before checking its elements",
+        "dts.py",
+        "    elements = tuple(values)\n",
+        "    elements = tuple(sorted(values))\n",
+        ("tests/test_dts.py",),
+    ),
+    (
         "as_support accepts an empty set",
         "dts.py",
         '    if not elements:\n        raise ValueError("support set must be nonempty")\n',
@@ -198,6 +205,46 @@ MUTANTS = [
         "distance.py",
         "nxt = ((state << streams) | u) & keep",
         "nxt = (state << streams) | u",
+        ("tests/test_distance.py",),
+    ),
+    # The zero-tail walk in distance._lightest.
+    (
+        "zero-tail walk runs past last",
+        "distance.py",
+        "for s in range(t + 1, last + 1):",
+        "for s in range(t + 1, last + frames + 2):",
+        ("tests/test_distance.py",),
+    ),
+    (
+        "zero-tail walk ignores the window end",
+        "distance.py",
+        "if not nxt or (window and s == last):",
+        "if not nxt:",
+        ("tests/test_distance.py",),
+    ),
+    (
+        "zero-tail walk from best - 2",
+        "distance.py",
+        "if w2 < best - 1:",
+        "if w2 < best - 2:",
+        ("tests/test_distance.py",),
+    ),
+    (
+        "zero-tail walk shifts before its first parity test",
+        "distance.py",
+        "                    if (nxt & taps).bit_count() & 1:\n"
+        "                        break\n"
+        "                    nxt = (nxt << streams) & keep\n",
+        "                    nxt = (nxt << streams) & keep\n"
+        "                    if (nxt & taps).bit_count() & 1:\n"
+        "                        break\n",
+        ("tests/test_distance.py",),
+    ),
+    (
+        "distance accepts a negative exponent",
+        "distance.py",
+        "if sup and sup[0] < 0:",
+        "if False:",
         ("tests/test_distance.py",),
     ),
     # The one-pass sum, symplectic.symplectic_sum.
