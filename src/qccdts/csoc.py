@@ -11,8 +11,6 @@ supports form a DTS, so :func:`is_csoc` reports the collisions of
 
 from __future__ import annotations
 
-import math
-
 from .dts import DifferenceCollision, DtsFamily, repeated_differences
 from .gf2poly import ONE, Gf2Poly, PolyMatrix, _Record, _setattr
 
@@ -36,7 +34,8 @@ def build_systematic_x(family: DtsFamily) -> PolyMatrix:
 
 
 def require_systematic(x: PolyMatrix) -> None:
-    if not (x.nrows == 1 and x.ncols >= 2 and x.entry(0, x.ncols - 1) == ONE):
+    row = x.entries[0]
+    if not (len(x.entries) == 1 and len(row) >= 2 and row[-1].support == (0,)):
         raise ValueError(
             "expected a systematic 1 x n row with constant 1 in the last entry"
         )
@@ -45,7 +44,7 @@ def require_systematic(x: PolyMatrix) -> None:
 def parity_supports(x: PolyMatrix) -> tuple[tuple[int, ...], ...]:
     """Exponent supports of the n-1 parity entries of a systematic row."""
     require_systematic(x)
-    return tuple(x.entry(0, j).support for j in range(x.ncols - 1))
+    return tuple([p.support for p in x.entries[0][:-1]])
 
 
 def memory(h: PolyMatrix) -> int:
@@ -54,10 +53,12 @@ def memory(h: PolyMatrix) -> int:
     For the systematic single-parity-row case this is just the maximum
     exponent of the matrix.
     """
-    if h.is_zero():
+    top = max(
+        (p.support[-1] for row in h.entries for p in row if p.support), default=None
+    )
+    if top is None:
         raise ValueError("memory of the zero matrix is undefined")
-    one_based_scope = int(h.max_degree) + 1
-    return math.ceil(one_based_scope / h.nrows) - 1
+    return -(-(top + 1) // len(h.entries)) - 1  # integer ceil, exact at any size
 
 
 def is_csoc(x: PolyMatrix) -> CsocReport:

@@ -30,6 +30,15 @@ one path of the subtree that the weight bound leaves unpruned, so every
 result is unchanged; on Z of catalogue rows 3.3 and 3.4 it cuts the
 search nodes from about 350,000 to 24,000.
 
+A column distance whose seed, the lightest truncated impulse, is 1 or 2
+needs no search. Every window codeword weighs at least 1, and one of
+weight 1 is a single first-frame bit on a stream with no tap at delay
+<= j, which makes the seed 1; so a seed of 2 is the minimum too
+(definitions as in Johannesson & Zigangirov, Fundamentals of
+Convolutional Coding, 1999). Most profile calls return this way. The
+free-distance search has no such shortcut: there a weight-1 codeword
+needs a stream whose polynomial is zero.
+
 Every entry point rejects a row with a negative exponent (a Laurent
 term) before any work, since the encoder runs forward from time 0.
 """
@@ -37,6 +46,7 @@ term) before any work, since the encoder runs forward from time 0.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 
 from .csoc import is_csoc, memory, parity_supports
 from .gf2poly import PolyMatrix, _Record, _setattr
@@ -190,10 +200,13 @@ def _lightest(
 def column_distance(h: PolyMatrix, j: int) -> int:
     """Minimum weight over window-[0..j] codewords with a nonzero first block.
 
-    Exact: the search starts from the lightest truncated impulse (one bit
-    on a stream at time 0 and its parity taps at delays <= j) and visits
-    every window that could be lighter. A window of j frames looks back
-    at most j frames, so the register holds min(mu, j) of them.
+    Exact: the seed is the lightest truncated impulse (one bit on a stream
+    at time 0 and its parity taps at delays <= j). A seed of 1 or 2 is
+    returned as it is: a window of weight 1 is such an impulse on a stream
+    with no tap at delay <= j, whose seed is 1, so no window is lighter
+    than a seed of 2 either. Otherwise the search starts from the seed and
+    visits every window that could be lighter. A window of j frames looks
+    back at most j frames, so the register holds min(mu, j) of them.
     """
     supports = _causal_supports(h)
     if j < 0:
@@ -204,7 +217,9 @@ def column_distance(h: PolyMatrix, j: int) -> int:
             f"window too large for exact oracle: {(j + 1) * streams} information "
             f"bits exceeds {MAX_WINDOW_BITS}"
         )
-    seed = min(1 + sum(t <= j for t in sup) for sup in supports)
+    seed = 1 + min(bisect_right(sup, j) for sup in supports)
+    if seed <= 2:
+        return seed
     return _lightest(supports, min(memory(h), j), j, seed, window=True)
 
 
@@ -245,9 +260,12 @@ def dfree_exact(
     Bounded-weight DFS over information frames; the state is the last mu
     frames and a path closes (yields a codeword) when the state flushes
     to all zero. The default horizon budget * (mu + 1) frames is enough
-    for any codeword within budget; raise it only for diagnostics.
+    for any codeword within budget; raise it only for diagnostics. A
+    horizon below 1 is rejected, as it would search nothing.
     """
     supports = _causal_supports(x)
+    if horizon is not None and horizon < 1:
+        raise ValueError("horizon must be positive")
     mu = memory(x)
     if reason := exact_search_guard(budget, mu):
         raise ValueError(reason)

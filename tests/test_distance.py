@@ -253,6 +253,59 @@ class TestColumnDistance:
         for j in range(max(min(sup) for sup in supports)):
             assert column_distance(x, j) == 1
 
+    @pytest.mark.parametrize(
+        "supports, j, seed",
+        [
+            # Seed 1: a stream with no delay-0 tap, or a zero polynomial.
+            (((2, 5), (0, 1)), 1, 1),
+            (((), (0, 3)), 3, 1),
+            # Seed 2: one tap at delay <= j on the lightest stream.
+            (((0, 4), (0, 5)), 3, 2),
+            (((0, 1, 3),), 0, 2),
+            # Seed 3 is searched: on ((0, 1), (0, 1)) a bit on both streams
+            # at time 0 cancels every parity, so d_1 = 2.
+            (((0, 1), (0, 1)), 1, 3),
+            (((0, 1, 3), (0, 2, 5)), 2, 3),
+        ],
+    )
+    def test_seed_shortcut_matches_bruteforce(self, supports, j, seed):
+        x = _row(*supports, (0,))
+        assert _truncated_impulse(x, j) == seed
+        assert column_distance(x, j) == _column_distance_bruteforce(x, j)
+
+    def test_seed_below_three_skips_the_search(self, monkeypatch):
+        # A seed of 1 or 2 is the column distance itself, so neither the
+        # register's memory nor the search is needed for it.
+        calls = {"_lightest": 0, "memory": 0}
+
+        def count(name):
+            real = getattr(distance, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(distance, name, counted)
+
+        count("_lightest")
+        count("memory")
+        rng = random.Random(2323)
+        rows = [
+            _random_row(rng, rng.randint(1, 3), rng.randint(0, 8)) for _ in range(40)
+        ]
+        searched = 0
+        for x in rows:
+            for j in range(12 // (x.ncols - 1)):
+                before = calls["_lightest"]
+                got = column_distance(x, j)
+                assert got == _column_distance_bruteforce(x, j)
+                seed = _truncated_impulse(x, j)
+                assert calls["_lightest"] - before == (seed >= 3), (x, j, seed)
+                searched += seed >= 3
+        assert calls["memory"] == calls["_lightest"] == searched
+        # 294 windows, 122 of them searched.
+        assert 20 <= searched <= sum(12 // (x.ncols - 1) for x in rows) - 20, searched
+
     def test_light_oracle_matches_bruteforce(self):
         rng = random.Random(7)
         for _ in range(20):
@@ -351,6 +404,12 @@ class TestDfreeExact:
     def test_budget_guard(self, example_x):
         with pytest.raises(ValueError, match="guard"):
             dfree_exact(example_x, budget=7)
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_horizon_below_one_rejected(self, example_x, horizon):
+        # A horizon of no frames searches nothing, so None would be a lie.
+        with pytest.raises(ValueError, match="^horizon must be positive$"):
+            dfree_exact(example_x, budget=3, horizon=horizon)
 
     def test_memory_guard(self):
         fam = classify([(0, 1, 3, 7), (0, 5, 13, 22)])

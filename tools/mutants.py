@@ -196,8 +196,22 @@ MUTANTS = [
     (
         "column seed counts t < j",
         "distance.py",
-        "sum(t <= j for t in sup)",
-        "sum(t < j for t in sup)",
+        "bisect_right(sup, j)",
+        "bisect_right(sup, j - 1)",
+        ("tests/test_distance.py",),
+    ),
+    (
+        "column seed of 3 returned without a search",
+        "distance.py",
+        "    if seed <= 2:\n",
+        "    if seed <= 3:\n",
+        ("tests/test_distance.py",),
+    ),
+    (
+        "dfree_exact accepts horizon 0",
+        "distance.py",
+        "if horizon is not None and horizon < 1:",
+        "if horizon is not None and horizon < 0:",
         ("tests/test_distance.py",),
     ),
     (
@@ -205,6 +219,27 @@ MUTANTS = [
         "distance.py",
         "nxt = ((state << streams) | u) & keep",
         "nxt = (state << streams) | u",
+        ("tests/test_distance.py",),
+    ),
+    (
+        "register masked before the OR",
+        "distance.py",
+        "nxt = ((state << streams) | u) & keep",
+        "nxt = ((state << streams) & keep) | u",
+        ("tests/test_distance.py",),
+    ),
+    (
+        "register taps one delay off",
+        "distance.py",
+        "taps |= 1 << (streams * (ell - 1) + i)",
+        "taps |= 1 << (streams * ell + i)",
+        ("tests/test_distance.py",),
+    ),
+    (
+        "stored frames' parity ignored",
+        "distance.py",
+        "        p = (state & taps).bit_count() & 1\n",
+        "        p = 0\n",
         ("tests/test_distance.py",),
     ),
     # The zero-tail walk in distance._lightest.
@@ -246,6 +281,58 @@ MUTANTS = [
         "if sup and sup[0] < 0:",
         "if False:",
         ("tests/test_distance.py",),
+    ),
+    # The row reads in csoc.
+    (
+        "memory rounds down",
+        "csoc.py",
+        "return -(-(top + 1) // len(h.entries)) - 1",
+        "return (top + 1) // len(h.entries) - 1",
+        ("tests/test_csoc.py",),
+    ),
+    (
+        "require_systematic accepts several rows",
+        "csoc.py",
+        "len(x.entries) == 1 and ",
+        "",
+        ("tests/test_csoc.py",),
+    ),
+    # The A7 check: the one-row kernel and the scan over s.
+    (
+        "A7 kernel halves abs(s)",
+        "symplectic.py",
+        "        half = s >> 1\n",
+        "        half = abs(s) >> 1\n",
+        ("tests/test_symplectic.py",),
+    ),
+    (
+        "A7 kernel reads a count as its parity",
+        "symplectic.py",
+        "return _ONE_1X1 if count & 1 else _ZERO_1X1",
+        "return _ONE_1X1 if count else _ZERO_1X1",
+        ("tests/test_symplectic.py",),
+    ),
+    (
+        "A7 kernel skips the identity column",
+        "symplectic.py",
+        "        for p in rows[0]:\n",
+        "        for p in rows[0][:-1]:\n",
+        ("tests/test_symplectic.py",),
+    ),
+    (
+        "A7 scan stops at M / 2",
+        "symplectic.py",
+        "zip(matrices[: window + 1], mirrored)",
+        "zip(matrices[: window // 2 + 1], mirrored)",
+        ("tests/test_symplectic.py",),
+    ),
+    # The reflect command.
+    (
+        "reflect prints the identity-pi family",
+        "cli.py",
+        "    z_sets = parity_supports(z)\n",
+        "    z_sets = parity_supports(build_z(x))\n",
+        ("tests/test_cli.py",),
     ),
     # The one-pass sum, symplectic.symplectic_sum.
     (
