@@ -139,7 +139,9 @@ def load_code_input(path: str, one_based_override: bool | None) -> CodeInput:
             payload = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad syntax and bytes that are not UTF-8; too deep
+        # a nesting is a RecursionError, which must not read as internal.
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
     return _code_input(payload, one_based_override)
 

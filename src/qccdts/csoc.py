@@ -35,7 +35,7 @@ def build_systematic_x(family: DtsFamily) -> PolyMatrix:
 
 def require_systematic(x: PolyMatrix) -> None:
     row = x.entries[0]
-    if not (len(x.entries) == 1 and len(row) >= 2 and row[-1].support == (0,)):
+    if not (len(row) >= 2 and row[-1].support == (0,)):
         raise ValueError(
             "expected a systematic 1 x n row with constant 1 in the last entry"
         )
@@ -48,17 +48,11 @@ def parity_supports(x: PolyMatrix) -> tuple[tuple[int, ...], ...]:
 
 
 def memory(h: PolyMatrix) -> int:
-    """Encoder memory: ceil((max exponent + 1) / r) - 1 for r parity rows.
-
-    For the systematic single-parity-row case this is just the maximum
-    exponent of the matrix.
-    """
-    top = max(
-        (p.support[-1] for row in h.entries for p in row if p.support), default=None
-    )
+    """Encoder memory of a single parity row: its largest exponent."""
+    top = max((p.support[-1] for p in h.entries[0] if p.support), default=None)
     if top is None:
         raise ValueError("memory of the zero matrix is undefined")
-    return -(-(top + 1) // len(h.entries)) - 1  # integer ceil, exact at any size
+    return top
 
 
 def is_csoc(x: PolyMatrix) -> CsocReport:

@@ -1,4 +1,4 @@
-"""Binary Laurent polynomials in the delay operator D, and matrices of them.
+"""Binary Laurent polynomials in the delay operator D, and rows of them.
 
 A polynomial is stored sparsely as its exponent support: a strictly
 increasing tuple of integers, each carrying coefficient 1 over GF(2).
@@ -156,20 +156,24 @@ D = Gf2Poly((1,))
 
 
 class PolyMatrix(_Record):
-    """An r x n grid of Gf2Poly values (rows of stabilizer generators)."""
+    """One row of Gf2Poly values: a stabilizer generator X(D) or Z(D).
+
+    ``entries`` keeps the grid layout, a 1-tuple holding the row, so
+    ``entry(0, j)`` reads column j. Zero rows or several are rejected:
+    every X and Z the construction builds, and every command checks, is
+    one row.
+    """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple[tuple[Gf2Poly, ...], ...]) -> None:
-        if not entries or not entries[0]:
-            raise ValueError("matrix must have at least one row and one column")
-        width = len(entries[0])
-        for row in entries:
-            if len(row) != width:
-                raise ValueError("ragged rows in matrix")
-            for p in row:
-                if not isinstance(p, Gf2Poly):
-                    raise ValueError(f"entry {p!r} is not a Gf2Poly")
+        if len(entries) != 1:
+            raise ValueError(f"matrix must hold exactly one row, got {len(entries)}")
+        if not entries[0]:
+            raise ValueError("matrix must have at least one column")
+        for p in entries[0]:
+            if not isinstance(p, Gf2Poly):
+                raise ValueError(f"entry {p!r} is not a Gf2Poly")
         _setattr(self, "entries", entries)
 
     @classmethod
@@ -186,7 +190,7 @@ class PolyMatrix(_Record):
 
     @property
     def nrows(self) -> int:
-        return len(self.entries)
+        return 1
 
     @property
     def ncols(self) -> int:
@@ -197,19 +201,15 @@ class PolyMatrix(_Record):
 
     @property
     def max_degree(self) -> int | float:
-        return max(p.degree for row in self.entries for p in row)
+        return max(p.degree for p in self.entries[0])
 
     @property
     def min_exponent(self) -> int | float:
-        live = [p.min_exponent for row in self.entries for p in row if p]
+        live = [p.min_exponent for p in self.entries[0] if p]
         return min(live) if live else NEG_INF
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.entries for p in row)
+        return not any(self.entries[0])
 
     def __str__(self) -> str:
-        rows = ["(" + ", ".join(str(p) for p in row) + ")" for row in self.entries]
-        if len(rows) == 1:
-            return rows[0]
-        return "[" + "; ".join(rows) + "]"
-
+        return "(" + ", ".join(str(p) for p in self.entries[0]) + ")"

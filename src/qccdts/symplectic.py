@@ -2,28 +2,26 @@
 
 The symplectic sum of X and Z is X(D) Z(D^-1)^T + Z(D) X(D^-1)^T; the
 pair commutes iff every Laurent coefficient matrix of the sum vanishes.
+X and Z are single rows, so the sum has one entry, a Laurent polynomial.
 The sum-index matrices C_s count tap pairs (t, u) with t + u = s within
-each column, summed over columns; they are the coefficient bookkeeping
-behind the commutation condition for reflected pairs.
+each column of X, summed over columns; they are the coefficient
+bookkeeping behind the commutation condition for reflected pairs.
 
-Two identities make each C_s cheap. C_s is symmetric: swapping (t, u)
-maps the pairs counted for (a, b) onto those counted for (b, a), so each
-entry above the diagonal is counted once and mirrored. On the diagonal
-the ordered pairs with t != u come in twos and cancel mod 2, leaving
-C_s[a][a] = #{k : s even and s/2 in L_{a,k}} mod 2, one membership test
-per column. A one-row X, the only shape ``verify`` and ``tables`` check,
-has nothing but that entry: an odd s returns a shared ((0,),) at once,
-and an even s counts the columns holding s >> 1 in a plain loop and
-returns a shared ((1,),) or ((0,),) by its parity, so each call costs
-a few integer operations and allocates nothing.
+With one row, C_s is 1 x 1, so it equals its transpose, and the ordered
+pairs with t != u come in twos and cancel mod 2. That leaves
+C_s = #{k : s even and s/2 in L_k} mod 2, one membership test per
+column: an odd s returns a shared ((0,),) at once, and an even s counts
+the columns holding s >> 1 in a plain loop and returns a shared ((1,),)
+or ((0,),) by its parity, so each call costs a few integer operations
+and allocates nothing.
 
 ``check_reflection_symmetry`` tests the identity C_s = C_{2M-s}^T on
-[0, 2M]. For a single systematic row this reduces to asking whether the
-per-delay column-occupancy parities form a palindrome over [0, M]; many
+[0, 2M], which for one row is C_s = C_{2M-s}: the per-delay
+column-occupancy parities form a palindrome over [0, M]. Many
 self-orthogonal rows do not satisfy it, so a False result here does not
 contradict commutation of a properly permuted pair. Comparing s in
-[0, M] suffices: a mismatch C_s[a][b] != C_{2M-s}[b][a] at s > M is the
-same mismatch as (2M - s, b, a), which an ascending scan meets first.
+[0, M] suffices: a mismatch at s > M is the mismatch at 2M - s, which an
+ascending scan meets first, and every witness is (s, 1, 1).
 
 Following the entry permutation pi adds nothing to that identity. For
 one systematic row and Z = build_z(X, pi), the symplectic sum is
@@ -43,9 +41,9 @@ from .gf2poly import Gf2Poly, PolyMatrix, _Record, _setattr
 class SymplecticReport(_Record):
     """The commutation verdict and the nonzero coefficients of the sum.
 
-    Violations are (s, i, j) triples, 1-based, meaning the coefficient of
-    D^s at entry (i, j) of the symplectic sum is 1; empty iff the pair
-    commutes.
+    Violations are (s, 1, 1) triples, in ascending s, meaning the
+    coefficient of D^s in the one entry of the symplectic sum is 1; empty
+    iff the pair commutes.
     """
 
     __slots__ = ("commuting", "violations")
@@ -58,97 +56,60 @@ class SymplecticReport(_Record):
 
 
 def symplectic_sum(x: PolyMatrix, z: PolyMatrix) -> PolyMatrix:
-    """X(D) Z(D^-1)^T + Z(D) X(D^-1)^T as a Laurent polynomial matrix.
+    """X(D) Z(D^-1)^T + Z(D) X(D^-1)^T as a 1 x 1 Laurent polynomial matrix.
 
-    Entry (i, j) is built in one pass: the differences t - u over the tap
-    pairs of (x_i, z_j), then of (z_i, x_j), column by column, folded
-    mod 2. Differing column counts are rejected first, then differing
-    X- and Z-row counts (the asymmetric case is unsupported).
+    The one entry is built in one pass: the differences t - u over the
+    tap pairs of (x, z), then of (z, x), column by column, folded mod 2.
+    Differing column counts are rejected.
     """
     if x.ncols != z.ncols:
         raise ValueError(f"column counts differ: {x.ncols} vs {z.ncols}")
-    if x.nrows != z.nrows:
-        raise ValueError(
-            f"unsupported asymmetric pair: {x.nrows} X-rows vs {z.nrows} Z-rows"
-        )
-    return PolyMatrix(
-        tuple(
-            tuple(
-                Gf2Poly.from_exponents(
-                    t - u
-                    for left, right in ((x_i, z_j), (z_i, x_j))
-                    for p, q in zip(left, right)
-                    for t in p.support
-                    for u in q.support
-                )
-                for x_j, z_j in zip(x.entries, z.entries)
-            )
-            for x_i, z_i in zip(x.entries, z.entries)
-        )
-    )
+    x_row, z_row = x.entries[0], z.entries[0]
+    return PolyMatrix.row((
+        Gf2Poly.from_exponents(
+            t - u
+            for left, right in ((x_row, z_row), (z_row, x_row))
+            for p, q in zip(left, right)
+            for t in p.support
+            for u in q.support
+        ),
+    ))
 
 
 def is_commuting(x: PolyMatrix, z: PolyMatrix) -> SymplecticReport:
     """Evaluate the commutation condition and enumerate any violations."""
-    s = symplectic_sum(x, z)
-    violations = []
-    for i in range(s.nrows):
-        for j in range(s.ncols):
-            for e in s.entry(i, j).support:
-                violations.append((e, i + 1, j + 1))
-    violations.sort()
-    return SymplecticReport(commuting=not violations, violations=tuple(violations))
+    violations = tuple((e, 1, 1) for e in symplectic_sum(x, z).entry(0, 0).support)
+    return SymplecticReport(commuting=not violations, violations=violations)
 
 
-# The two 1 x 1 results, shared by every one-row call.
+# The two 1 x 1 results, shared by every call.
 _ZERO_1X1 = ((0,),)
 _ONE_1X1 = ((1,),)
 
 
 def sum_index_matrix(x: PolyMatrix, s: int) -> tuple[tuple[int, ...], ...]:
-    """Entry (a,b): parity of tap pairs summing to s, over shared columns.
+    """C_s(X): the parity of tap pairs summing to s, over the row's columns.
 
-    Counts #{(t, u) in L_{a,k} x L_{b,k} : t + u = s} summed over every
-    column k (the systematic identity column participates like any other,
-    with support {0}). The r x r result is a tuple of rows of 0/1 ints,
-    exact for any integer s and any exponents, negative ones included.
-
-    The matrix is symmetric, so each entry with b > a is counted once and
-    mirrored. A diagonal entry needs only the pairs with t = u, since the
-    others cancel in twos: it is the parity of the columns whose support
-    holds s/2, and 0 for odd s. A one-row X returns one of two shared
-    1 x 1 tuples; ``s & 1`` and ``s >> 1`` stay exact for negative s.
+    Counts #{(t, u) in L_k x L_k : t + u = s} summed over every column k
+    (the systematic identity column participates like any other, with
+    support {0}), and returns it as the 1 x 1 tuple ((0,),) or ((1,),),
+    both shared. Only the pairs with t = u count: the others come in twos
+    and cancel mod 2. So C_s is the parity of the columns whose support
+    holds s/2, and 0 for odd s; ``s & 1`` and ``s >> 1`` keep this exact
+    for any integer s, negative ones included.
     """
-    rows = x.entries
-    if len(rows) == 1:  # every row `verify` checks: only the diagonal entry
-        if s & 1:
-            return _ZERO_1X1
-        half = s >> 1
-        count = 0
-        for p in rows[0]:
-            if half in p.support:
-                count += 1
-        return _ONE_1X1 if count & 1 else _ZERO_1X1
-    half = None if s % 2 else s // 2
-    diagonal = [
-        0 if half is None else sum(half in p.support for p in row) % 2
-        for row in rows
-    ]
-    out = [[0] * len(rows) for _ in rows]
-    for a, row_a in enumerate(rows):
-        out[a][a] = diagonal[a]
-        for b in range(a + 1, len(rows)):
-            out[a][b] = out[b][a] = sum(
-                1
-                for p, q in zip(row_a, rows[b])
-                for t in p.support
-                if (s - t) in q.support
-            ) % 2
-    return tuple(map(tuple, out))
+    if s & 1:
+        return _ZERO_1X1
+    half = s >> 1
+    count = 0
+    for p in x.entries[0]:
+        if half in p.support:
+            count += 1
+    return _ONE_1X1 if count & 1 else _ZERO_1X1
 
 
 class ReflectionSymmetryReport(_Record):
-    """The A7 verdict and, on failure, its first witness (s, a, b), 1-based rows."""
+    """The A7 verdict and, on failure, its first witness (s, 1, 1)."""
 
     __slots__ = ("ok", "counterexample")
 
@@ -163,10 +124,10 @@ def check_reflection_symmetry(
     """Test C_s(X) = C_{2M-s}(X)^T for every s in [0, 2M].
 
     The degree window M defaults to the maximum exponent of X; all
-    entries must fit inside [0, M]. On failure the first witnessing
-    (s, a, b) of an ascending scan over [0, 2M] is returned. Only s in
-    [0, M] is compared: a mismatch at s > M reappears as (2M - s, b, a),
-    earlier in the scan, so the half scan finds the same first witness.
+    entries must fit inside [0, M]. On failure the witness (s, 1, 1) names
+    the first s of an ascending scan over [0, 2M] with C_s != C_{2M-s}.
+    Only s in [0, M] is compared: a mismatch at s > M is the one at
+    2M - s, earlier in the scan, so the half scan finds the same witness.
     """
     if window is None:
         if x.is_zero():
@@ -184,15 +145,7 @@ def check_reflection_symmetry(
     matrices = [sum_index_matrix(x, s) for s in range(2 * window + 1)]
     mirrored = reversed(matrices)
     for s, (lhs, rhs) in enumerate(zip(matrices[: window + 1], mirrored)):
-        # rhs = C_{2M-s} is symmetric, so lhs == rhs is C_s = C_{2M-s}^T
+        # rhs = C_{2M-s} is 1 x 1, so lhs == rhs is C_s = C_{2M-s}^T
         if lhs != rhs:
-            a, b = next(
-                (a, b)
-                for a, row in enumerate(lhs)
-                for b, value in enumerate(row)
-                if value != rhs[b][a]
-            )
-            return ReflectionSymmetryReport(
-                ok=False, counterexample=(s, a + 1, b + 1)
-            )
+            return ReflectionSymmetryReport(ok=False, counterexample=(s, 1, 1))
     return ReflectionSymmetryReport(ok=True, counterexample=None)

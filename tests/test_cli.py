@@ -130,6 +130,22 @@ class TestBuild:
         assert code == 2
         assert "malformed JSON" in err
 
+    def test_deeply_nested_json_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000)
+        code, out, err = run_cli(capsys, "verify", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: malformed JSON in {path}: maximum recursion")
+        assert err.count("\n") == 1
+
+    def test_non_utf8_json_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"T": [[1, 2]], "note": "\xff"}')
+        code, out, err = run_cli(capsys, "verify", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: malformed JSON in {path}: 'utf-8' codec")
+        assert err.count("\n") == 1
+
     def test_non_strong_family_warns_but_exits_zero(self, capsys, tmp_path):
         path = tmp_path / "weak.json"
         path.write_text(json.dumps({"T": [[0, 1], [0, 1]], "one_based": False}))

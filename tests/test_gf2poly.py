@@ -150,20 +150,18 @@ class TestMatMulTranspose:
         assert symplectic_sum(zero, example_x).is_zero()
 
     def test_dimension_mismatch(self, example_x):
-        short = PolyMatrix.from_supports([[(0,), (1,)], [(0,), (1,)]])
-        # the column check comes first, ahead of the row-count check
+        short = PolyMatrix.from_supports([[(0,), (1,)]])
         with pytest.raises(ValueError, match="^column counts differ: 3 vs 2$"):
             symplectic_sum(example_x, short)
 
     def test_against_counting_oracle(self):
-        """Laurent exponents, zero entries and several rows: entry (i, j)
-        is the parity count of t - u over the tap pairs of (x_i, z_j),
-        plus that of (z_i, x_j)."""
+        """Laurent exponents and zero entries: the one entry is the parity
+        count of t - u over the tap pairs of (x, z), plus that of (z, x)."""
         rng = np.random.default_rng(20240819)
-        negative = zero_entries = multi_row = 0
+        negative = zero_entries = 0
         for _ in range(200):
-            r, n = rng.integers(1, 4, size=2)
-            def rand_matrix(r):
+            n = rng.integers(1, 4)
+            def rand_row():
                 return PolyMatrix.from_supports(
                     [
                         [
@@ -176,21 +174,16 @@ class TestMatMulTranspose:
                             )
                             for _ in range(n)
                         ]
-                        for _ in range(r)
                     ]
                 )
-            x, z = rand_matrix(r), rand_matrix(r)
+            x, z = rand_row(), rand_row()
             got = symplectic_sum(x, z)
-            assert (got.nrows, got.ncols) == (r, r)
+            assert (got.nrows, got.ncols) == (1, 1)
             xz, zx = _mmt_oracle(x, z), _mmt_oracle(z, x)
-            for (i, j), sup in xz.items():
-                assert set(got.entry(i, j).support) == sup ^ zx[i, j]
+            assert set(got.entry(0, 0).support) == xz[0, 0] ^ zx[0, 0]
             negative += min(x.min_exponent, z.min_exponent) < 0
-            zero_entries += any(
-                p.is_zero() for m in (x, z) for row in m.entries for p in row
-            )
-            multi_row += r > 1
-        assert min(negative, zero_entries, multi_row) >= 50
+            zero_entries += any(p.is_zero() for m in (x, z) for p in m.entries[0])
+        assert min(negative, zero_entries) >= 50
 
 
 class TestCoefficientMatrix:
@@ -221,9 +214,31 @@ class TestCoefficientMatrix:
 
 
 class TestPolyMatrixValidation:
-    def test_ragged_rejected(self):
-        with pytest.raises(ValueError, match="ragged"):
-            PolyMatrix(((ONE,), (ONE, ONE)))
+    @pytest.mark.parametrize(
+        "build, rows",
+        [
+            (lambda: PolyMatrix(()), 0),
+            (lambda: PolyMatrix(((ONE,), (ONE,))), 2),
+            (lambda: PolyMatrix(((ONE,), (ONE, ONE))), 2),
+            (lambda: PolyMatrix.from_supports([]), 0),
+            (lambda: PolyMatrix.from_supports([[(0, 1), (0,)], [(0, 2), (0,)]]), 2),
+        ],
+        ids=[
+            "empty", "two-rows", "ragged", "from-supports-empty",
+            "from-supports-two-rows",
+        ],
+    )
+    def test_row_count_rejected(self, build, rows):
+        """Every X and Z is one row: no other shape is built, so no library
+        function receives one."""
+        with pytest.raises(
+            ValueError, match=f"^matrix must hold exactly one row, got {rows}$"
+        ):
+            build()
+
+    def test_empty_row_rejected(self):
+        with pytest.raises(ValueError, match="^matrix must have at least one column$"):
+            PolyMatrix(((),))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

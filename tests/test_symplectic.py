@@ -42,19 +42,6 @@ def _sum_index_oracle(x: PolyMatrix, s: int) -> np.ndarray:
     return out
 
 
-def _dense_reflection_witness(x: PolyMatrix, window: int):
-    """The first (s, a, b), 1-based rows, with C_s[a, b] != C_{2M-s}[b, a],
-    found as the dense check found it; None when the identity holds."""
-    top = 2 * window
-    matrices = [_sum_index_oracle(x, s) for s in range(top + 1)]
-    for s in range(top + 1):
-        mismatches = np.argwhere(matrices[s] != matrices[top - s].T)
-        if len(mismatches):
-            a, b = mismatches[0]
-            return (s, int(a) + 1, int(b) + 1)
-    return None
-
-
 def _full_scan_reflection_symmetry(x: PolyMatrix, window: int):
     """The check as it was before the half scan: every s in [0, 2M] is
     compared, in (s, a, b) order. Returns (ok, counterexample)."""
@@ -69,14 +56,13 @@ def _full_scan_reflection_symmetry(x: PolyMatrix, window: int):
     return True, None
 
 
-def _random_matrix(rng: random.Random, rows: int, cols: int, exponents) -> PolyMatrix:
+def _random_row(rng: random.Random, cols: int, exponents) -> PolyMatrix:
     return PolyMatrix.from_supports(
         [
             [
                 tuple(sorted(rng.sample(exponents, rng.randint(0, 3))))
                 for _ in range(cols)
             ]
-            for _ in range(rows)
         ]
     )
 
@@ -107,13 +93,6 @@ class TestSymplecticSum:
     def test_dimension_mismatch(self, example_x):
         with pytest.raises(ValueError, match="column counts"):
             symplectic_sum(example_x, _row((0,), (1,)))
-
-    def test_asymmetric_row_counts_unsupported(self, example_x):
-        two_rows = PolyMatrix.from_supports(
-            [[(0,), (1,), (0,)], [(1,), (0,), (0,)]]
-        )
-        with pytest.raises(ValueError, match="asymmetric"):
-            symplectic_sum(example_x, two_rows)
 
     def test_symmetric_in_arguments(self, example_x, example_z_identity):
         assert symplectic_sum(example_x, example_z_identity) == symplectic_sum(
@@ -162,11 +141,10 @@ class TestSumIndexMatrix:
 
     def test_matches_oracle_on_random_matrices(self):
         """Exact for any s, negative exponents and s outside every tap sum
-        included: the symmetric and diagonal shortcuts change no entry."""
+        included: counting only the pairs with t = u changes no value."""
         rng = random.Random(5)
         for _ in range(300):
-            r, n = rng.randint(1, 4), rng.randint(1, 5)
-            x = _random_matrix(rng, r, n, range(-4, 9))
+            x = _random_row(rng, rng.randint(1, 5), range(-4, 9))
             if x.is_zero():
                 continue
             lo, hi = int(x.min_exponent), int(x.max_degree)
@@ -310,31 +288,13 @@ class TestReflectionSymmetry:
             late += want is not None and want[0] > window - 6
         assert passing >= 8 and failing >= 8 and late >= 4
 
-    def test_multi_row_counterexample_matches_dense_reference(self):
-        """Verdict and first witness agree with the dense algorithm: the
-        first s whose argwhere(C_s != C_{2M-s}^T) is non-empty, and its
-        first (a, b) in row-major order."""
-        rng = random.Random(23)
-        off_diagonal = 0
-        for _ in range(400):
-            x = _random_matrix(rng, rng.randint(1, 3), rng.randint(1, 4), range(7))
-            if x.is_zero():
-                continue
-            window = int(x.max_degree) + rng.randint(0, 2)
-            report = check_reflection_symmetry(x, window)
-            want = _dense_reflection_witness(x, window)
-            assert (report.ok, report.counterexample) == (want is None, want)
-            off_diagonal += want is not None and want[1] != want[2]
-        # witnesses with a != b are the ones that pin the (a, b) order
-        assert off_diagonal >= 20
-
     def test_half_scan_matches_full_scan_reference(self):
         """Comparing s in [0, M] only gives the verdict and first witness
         of the full scan over [0, 2M]."""
         rng = random.Random(29)
-        checked = failing = off_diagonal = 0
+        checked = failing = 0
         while checked < 2000:
-            x = _random_matrix(rng, rng.randint(2, 4), rng.randint(1, 4), range(7))
+            x = _random_row(rng, rng.randint(1, 4), range(7))
             if x.is_zero():
                 continue
             checked += 1
@@ -343,19 +303,18 @@ class TestReflectionSymmetry:
             want = _full_scan_reflection_symmetry(x, window)
             assert (report.ok, report.counterexample) == want
             failing += not want[0]
-            off_diagonal += not want[0] and want[1][1] != want[1][2]
-        assert failing >= 1000 and off_diagonal >= 100
+        assert failing >= 1000
 
     def test_mismatch_beyond_window_reported_as_its_mirror(self):
-        """C_5[2,1] != C_1[1,2] with M = 3: the full scan meets the same
-        mismatch first as (2M - 5, 1, 2) = (1, 1, 2)."""
-        x = PolyMatrix.from_supports([[(1, 2), ()], [(1, 3), (1, 3)]])
-        window, s, a, b = 3, 5, 2, 1
+        """C_4 != C_2 with M = 3: the full scan meets the same mismatch
+        first as (2M - 4, 1, 1) = (2, 1, 1)."""
+        x = _row((0, 1), (0, 3), (0,))
+        window, s = 3, 4
         assert (
-            _sum_index_oracle(x, s)[a - 1, b - 1]
-            != _sum_index_oracle(x, 2 * window - s)[b - 1, a - 1]
+            _sum_index_oracle(x, s)[0, 0]
+            != _sum_index_oracle(x, 2 * window - s)[0, 0]
         )
-        mirror = (2 * window - s, b, a)
+        mirror = (2 * window - s, 1, 1)
         assert _full_scan_reflection_symmetry(x, window) == (False, mirror)
         assert check_reflection_symmetry(x, window).counterexample == mirror
 
@@ -432,10 +391,9 @@ class TestCoefficientCrossCheck:
                 assert np.array_equal(direct, conv)
 
 
-def _entry_pair_matrix(x: PolyMatrix, s: int) -> tuple[tuple[int, ...], ...]:
-    """Per-entry sum-index table over the parity entries of a systematic row."""
-    column = PolyMatrix(tuple((Gf2Poly(sup),) for sup in parity_supports(x)))
-    return sum_index_matrix(column, s)
+def _tap_pair_parity(left: tuple[int, ...], right: tuple[int, ...], s: int) -> int:
+    """#{(t, u) in left x right : t + u = s} mod 2, by direct enumeration."""
+    return sum(1 for t in left for u in right if t + u == s) % 2
 
 
 class TestTwoAddendDecomposition:
@@ -445,12 +403,10 @@ class TestTwoAddendDecomposition:
         for fam in search_strong_dts(2, 3, 7):
             x = build_systematic_x(fam)
             m = memory(x)
-            tables = {s: _entry_pair_matrix(x, s) for s in range(0, 2 * m + 1)}
+            supports = parity_supports(x)
 
             def c_hat(s, a, b):
-                if 0 <= s <= 2 * m:
-                    return tables[s][a - 1][b - 1]
-                return 0
+                return _tap_pair_parity(supports[a - 1], supports[b - 1], s)
 
             for pi in permutations(range(1, fam.size + 1)):
                 z = build_z(x, pi)

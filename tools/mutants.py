@@ -113,6 +113,14 @@ MUTANTS = [
         "    if not isinstance(one_based, bool):\n",
         ("tests/test_cli.py",),
     ),
+    # The --input reader, cli.load_code_input.
+    (
+        "too deep a JSON nesting reads as internal",
+        "cli.py",
+        "except (ValueError, RecursionError) as exc:",
+        "except ValueError as exc:",
+        ("tests/test_cli.py",),
+    ),
     # The search line renderer, cli._search_lines.
     (
         "search head compared by identity",
@@ -282,27 +290,20 @@ MUTANTS = [
         "if False:",
         ("tests/test_distance.py",),
     ),
-    # The row reads in csoc.
+    # The one row shape, gf2poly.PolyMatrix.
     (
-        "memory rounds down",
-        "csoc.py",
-        "return -(-(top + 1) // len(h.entries)) - 1",
-        "return (top + 1) // len(h.entries) - 1",
-        ("tests/test_csoc.py",),
-    ),
-    (
-        "require_systematic accepts several rows",
-        "csoc.py",
-        "len(x.entries) == 1 and ",
-        "",
-        ("tests/test_csoc.py",),
+        "PolyMatrix accepts a second row",
+        "gf2poly.py",
+        "if len(entries) != 1:",
+        "if len(entries) < 1:",
+        ("tests/test_gf2poly.py", "tests/test_csoc.py"),
     ),
     # The A7 check: the one-row kernel and the scan over s.
     (
         "A7 kernel halves abs(s)",
         "symplectic.py",
-        "        half = s >> 1\n",
-        "        half = abs(s) >> 1\n",
+        "    half = s >> 1\n",
+        "    half = abs(s) >> 1\n",
         ("tests/test_symplectic.py",),
     ),
     (
@@ -315,8 +316,8 @@ MUTANTS = [
     (
         "A7 kernel skips the identity column",
         "symplectic.py",
-        "        for p in rows[0]:\n",
-        "        for p in rows[0][:-1]:\n",
+        "    for p in x.entries[0]:\n",
+        "    for p in x.entries[0][:-1]:\n",
         ("tests/test_symplectic.py",),
     ),
     (
@@ -336,25 +337,33 @@ MUTANTS = [
     ),
     # The one-pass sum, symplectic.symplectic_sum.
     (
-        "symplectic sum drops the (z_i, x_j) half",
+        "symplectic sum drops the (z, x) half",
         "symplectic.py",
-        "for left, right in ((x_i, z_j), (z_i, x_j))",
-        "for left, right in ((x_i, z_j),)",
+        "for left, right in ((x_row, z_row), (z_row, x_row))",
+        "for left, right in ((x_row, z_row),)",
         ("tests/test_gf2poly.py", "tests/test_symplectic.py"),
     ),
     (
         "symplectic sum adds t + u",
         "symplectic.py",
-        "                    t - u\n",
-        "                    t + u\n",
+        "            t - u\n",
+        "            t + u\n",
         ("tests/test_gf2poly.py", "tests/test_symplectic.py"),
     ),
     (
         "symplectic sum takes abs(t - u)",
         "symplectic.py",
-        "                    t - u\n",
-        "                    abs(t - u)\n",
+        "            t - u\n",
+        "            abs(t - u)\n",
         ("tests/test_gf2poly.py", "tests/test_symplectic.py"),
+    ),
+    # The violations of symplectic.is_commuting.
+    (
+        "is_commuting drops a violation",
+        "symplectic.py",
+        "symplectic_sum(x, z).entry(0, 0).support)",
+        "symplectic_sum(x, z).entry(0, 0).support[1:])",
+        ("tests/test_symplectic.py",),
     ),
     # The record base, gf2poly._Record.
     (
