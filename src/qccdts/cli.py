@@ -8,10 +8,12 @@ A reader that closes stdout early (``qccdts search ... | head``) ends the
 command quietly with exit 0.
 
 ``main`` parses ``qccdts <command> ...`` with that command's parser alone.
-The full tree of all six commands is built only when there is no
+The full tree of all six commands is used only when there is no
 argument or the first is not a command (``-h``, ``--help``, ``--version``,
 a typo), and to report arguments the command's parser leaves over, so
-those messages keep the top-level usage line.
+those messages keep the top-level usage line. Each parser is built on
+first use and shared by every later ``main`` call in the process, so a
+caller must not mutate one.
 
 Input JSON schema (all commands that take ``--input``):
 
@@ -34,6 +36,7 @@ with ``--json``.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -576,24 +579,38 @@ _COMMANDS = {
 
 
 def _fill(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Give ``p`` the arguments of command ``name``; parsing names it ``command``."""
-    _, configure, handler = _COMMANDS[name]
+    """Give ``p`` the arguments of command ``name``; parsing names it ``command``.
+
+    The parser holds no handler, so a shared parser cannot outlive a
+    change to ``_COMMANDS``: ``main`` looks the handler up there.
+    """
+    _, configure, _ = _COMMANDS[name]
     configure(p)
-    p.set_defaults(func=handler, command=name)
+    p.set_defaults(command=name)
     return p
 
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser for ``argv``.
+    """The parser for ``argv``, built on first use and shared afterwards.
 
     When ``argv[0]`` names a command, this is that command's parser alone,
     a standalone ``qccdts <command>`` parser for ``argv[1:]``, just as the
     full tree would build it. Otherwise (``argv`` empty or None, ``-h``,
     ``--help``, ``--version``, a typo) it is the full tree: the top-level
     parser with all six subparsers, which help and usage list.
+
+    Each of these seven parsers is built once per process and returned
+    to every later caller, so callers must not add arguments to it or
+    change its defaults.
     """
-    if argv and argv[0] in _COMMANDS:
-        return _fill(argparse.ArgumentParser(prog=f"qccdts {argv[0]}"), argv[0])
+    return _parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+
+
+@functools.cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """``command``'s parser, or the full tree for None; see ``build_parser``."""
+    if command is not None:
+        return _fill(argparse.ArgumentParser(prog=f"qccdts {command}"), command)
     parser = argparse.ArgumentParser(
         prog="qccdts",
         description=(
@@ -618,7 +635,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         args = build_parser(argv).parse_args(argv)
     try:
-        code = args.func(args)
+        code = _COMMANDS[args.command][2](args)
         sys.stdout.flush()
         return code
     except ValueError as exc:

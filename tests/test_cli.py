@@ -825,7 +825,17 @@ def test_full_tree_lists_every_command(argv):
     ]
 
 
-def test_a_command_builds_one_parser(capsys, monkeypatch):
+def _outcome(capsys, argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``main(argv)``, argparse's exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_a_command_builds_one_parser(capsys, monkeypatch, example_input):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -834,9 +844,72 @@ def test_a_command_builds_one_parser(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
     assert main(["search", "2", "2", "5"]) == 0
     assert built == ["qccdts search"]
     assert capsys.readouterr().out  # the families were printed
+    assert main(["search", "2", "2", "5"]) == 0
+    assert built == ["qccdts search"]  # the second search reuses the parser
+    assert main(["verify", "--input", example_input]) == 0
+    assert built == ["qccdts search", "qccdts verify"]
+
+
+def test_shared_parsers_leak_no_state(capsys, monkeypatch, tmp_path, example_input):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("QCCDTS_MAX_SEARCH", raising=False)
+    colliding = tmp_path / "colliding.json"
+    colliding.write_text(json.dumps(
+        {"n": 3, "T": [[0, 2, 4, 5, 7], [0, 1, 4, 8, 10]], "one_based": False}
+    ))
+    # Within a group the options differ and so do the outputs. The plain
+    # `reflect` reads the file's 1-based convention right after --zero-based,
+    # and the last group runs the full tree between the command parsers.
+    groups = [
+        [["verify", "--input", example_input, "--json"],
+         ["verify", "--input", example_input]],
+        [["reflect", "--input", example_input, "--one-based"],
+         ["reflect", "--input", example_input, "--zero-based"]],
+        [["reflect", "--input", example_input]],
+        [["distance", "--input", str(colliding), "--budget", "5"],
+         ["distance", "--input", str(colliding)]],
+        [["search", "2", "2", "5", "--limit", "2"],
+         ["search", "2", "2", "5", "--full-strong"],
+         ["search", "2", "2", "5"]],
+        [["--version"], ["verify", "--input", example_input, "extra"], ["-h"]],
+    ]
+    commands = [argv for group in groups for argv in group]
+    alone = {}
+    for argv in commands:
+        cli._parser.cache_clear()
+        alone[tuple(argv)] = _outcome(capsys, argv)
+    for group in groups:
+        assert len({alone[tuple(argv)] for argv in group}) == len(group)
+
+    # Forward, backward and forward again: each parser is reused after a run
+    # with other options, and after the other parsers.
+    cli._parser.cache_clear()
+    for argv in commands + commands[::-1] + commands:
+        assert _outcome(capsys, argv) == alone[tuple(argv)], argv
+
+
+def test_search_guard_override_is_read_per_command(capsys, monkeypatch):
+    monkeypatch.delenv("QCCDTS_MAX_SEARCH", raising=False)
+    argv = ["search", "6", "2", "6", "--limit", "1"]
+    assert _outcome(capsys, argv)[0] == 2
+    monkeypatch.setenv("QCCDTS_MAX_SEARCH", "6")
+    assert _outcome(capsys, argv)[0] == 0
+
+
+def test_help_width_is_read_per_command(capsys, monkeypatch):
+    # `-h` prints what the recorded `--help` prints.
+    (case,) = [c for c in USAGE_CASES if c["argv"] == ["verify", "--help"]]
+    recorded = (case["exit"], case["stdout"], case["stderr"])
+    cli._parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = _outcome(capsys, ["verify", "-h"])  # builds the parser
+    assert narrow != recorded
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _outcome(capsys, ["verify", "-h"]) == recorded
 
 
 @pytest.mark.parametrize(

@@ -5,12 +5,13 @@
 
 Each record in ``MUTANTS`` names a module under ``src/qccdts``, an exact
 text that must occur in it exactly once, the text that replaces it, and
-the test files to run. The tool copies the repository (without ``.git``
-and caches) to a temporary directory and first runs each named group of
-test files on the unmutated copy, which must pass. Then, one mutant at a
-time, it writes the mutated module into the copy, runs
-``pytest -x -q`` on the mutant's test files and restores the module. A
-mutant is ``killed`` when the tests fail or time out, and ``SURVIVED``
+the test files to run. A mutant of several edits gives a tuple of texts
+and a tuple of replacements; each text must occur exactly once. The tool
+copies the repository (without ``.git`` and caches) to a temporary
+directory and first runs each named group of test files on the unmutated
+copy, which must pass. Then, one mutant at a time, it writes the mutated
+module into the copy, runs ``pytest -x -q`` on the mutant's test files
+and restores the module. A mutant is ``killed`` when the tests fail or time out, and ``SURVIVED``
 when they pass. A record whose text does not occur exactly once, or
 whose mutated module does not compile, is an error, never a kill, and so
 is a failing unmutated run.
@@ -63,7 +64,32 @@ _BUFFERED_LOOP = '''\
     yield from run
 '''
 
-# (name, module, old text, new text, test files)
+# cli._parser's cache, and the mutant of it that files the full tree under
+# the key of the `verify` parser, so whichever of the two is built first
+# is returned for both.
+_PARSER_CACHE = '''\
+@functools.cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+'''
+_ONE_KEY_CACHE = '''\
+def _one_key(build):
+    memo = {}
+
+    def parser(command):
+        key = command or "verify"
+        if key not in memo:
+            memo[key] = build(command)
+        return memo[key]
+
+    parser.cache_clear = memo.clear
+    return parser
+
+
+@_one_key
+def _parser(command: str | None) -> argparse.ArgumentParser:
+'''
+
+# (name, module, old text or texts, new text or texts, test files)
 MUTANTS = [
     # The support check in dts.as_support.
     (
@@ -155,6 +181,34 @@ MUTANTS = [
         "cli.py",
         "    _check_search_args(args.r, args.w, args.max_scope)\n",
         "",
+        ("tests/test_cli.py",),
+    ),
+    # The parsers cli.build_parser builds once per process.
+    (
+        "handler stored in the cached parser",
+        "cli.py",
+        (
+            "    p.set_defaults(command=name)\n",
+            "        code = _COMMANDS[args.command][2](args)\n",
+        ),
+        (
+            "    p.set_defaults(func=_COMMANDS[name][2], command=name)\n",
+            "        code = args.func(args)\n",
+        ),
+        ("tests/test_cli.py",),
+    ),
+    (
+        "full tree cached under a command's key",
+        "cli.py",
+        _PARSER_CACHE,
+        _ONE_KEY_CACHE,
+        ("tests/test_cli.py",),
+    ),
+    (
+        "full tree with one subparser",
+        "cli.py",
+        "    for name, (help_text, _, _) in _COMMANDS.items():\n",
+        "    for name, (help_text, _, _) in list(_COMMANDS.items())[:1]:\n",
         ("tests/test_cli.py",),
     ),
     # FULL_STRONG by count in dts.search_strong_dts.
@@ -384,6 +438,19 @@ MUTANTS = [
 ]
 
 
+def _edits(old: str | tuple[str, ...], new: str | tuple[str, ...]) -> list[tuple[str, str]]:
+    """A record's (old text, new text) pairs: one, or one per tuple element."""
+    if isinstance(old, str):
+        return [(old, new)]
+    return list(zip(old, new, strict=True))
+
+
+def _mutate(source: str, edits: list[tuple[str, str]]) -> str:
+    for before, after in edits:
+        source = source.replace(before, after)
+    return source
+
+
 def _pytest(tree: Path, tests: tuple[str, ...]) -> tuple[int | None, float]:
     """pytest's exit code on ``tests`` in ``tree`` (None on timeout), and seconds."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -416,12 +483,13 @@ def main(argv: list[str] | None = None) -> int:
     broken = []
     for name, module, old, new, _ in chosen:
         source = (ROOT / "src" / "qccdts" / module).read_text()
-        count = source.count(old)
-        if count != 1:
-            broken.append(f"{name}: text occurs {count} times in {module}")
+        edits = _edits(old, new)
+        counts = [source.count(before) for before, _ in edits]
+        if counts != [1] * len(edits):
+            broken.append(f"{name}: texts occur {counts} times in {module}")
             continue
         try:
-            compile(source.replace(old, new), module, "exec")
+            compile(_mutate(source, edits), module, "exec")
         except SyntaxError as exc:
             broken.append(f"{name}: mutated {module} does not compile: {exc}")
     if broken:
@@ -445,7 +513,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, module, old, new, tests in chosen:
             path = tree / "src" / "qccdts" / module
             source = path.read_text()
-            path.write_text(source.replace(old, new))
+            path.write_text(_mutate(source, _edits(old, new)))
             try:
                 code, seconds = _pytest(tree, tests)
             finally:
