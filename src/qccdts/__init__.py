@@ -4,6 +4,8 @@ Build a systematic self-orthogonal parity row X(D) from the supports of
 a strong difference triangle set, reflect the supports to obtain the
 companion Z(D), and machine-certify the construction: DTS structure,
 self-orthogonality, memory, symplectic commutation and free distance.
+Each of X and Z is a ``PolyMatrix``, whose value is its one row of
+``Gf2Poly`` polynomials, ``x.row``.
 """
 
 __version__ = "0.1.0"
@@ -32,7 +34,6 @@ from .dts import (
     search_strong_dts,
 )
 from .gf2poly import (
-    NEG_INF,
     ONE,
     ZERO,
     D,
@@ -63,7 +64,6 @@ __all__ = [
     "DtsFamily",
     "Gf2Poly",
     "Method",
-    "NEG_INF",
     "ONE",
     "PolyMatrix",
     "ReflectionSymmetryReport",

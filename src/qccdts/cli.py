@@ -205,7 +205,7 @@ def _code_input(payload, one_based_override: bool | None) -> CodeInput:
 def _pair_from_input(code: CodeInput) -> tuple[PolyMatrix, PolyMatrix]:
     x = build_systematic_x(code.family)
     if code.z_sets is not None:
-        z = PolyMatrix.row(tuple(Gf2Poly(s) for s in code.z_sets) + (ONE,))
+        z = PolyMatrix(tuple(Gf2Poly(s) for s in code.z_sets) + (ONE,))
     else:
         z = build_z(x, code.pi)
     return x, z

@@ -30,11 +30,11 @@ def build_systematic_x(family: DtsFamily) -> PolyMatrix:
 
     Builds any family, strong or not, and says nothing about strength.
     """
-    return PolyMatrix.row(tuple(Gf2Poly(s) for s in family.sets) + (ONE,))
+    return PolyMatrix(tuple(Gf2Poly(s) for s in family.sets) + (ONE,))
 
 
 def require_systematic(x: PolyMatrix) -> None:
-    row = x.entries[0]
+    row = x.row
     if not (len(row) >= 2 and row[-1].support == (0,)):
         raise ValueError(
             "expected a systematic 1 x n row with constant 1 in the last entry"
@@ -44,12 +44,12 @@ def require_systematic(x: PolyMatrix) -> None:
 def parity_supports(x: PolyMatrix) -> tuple[tuple[int, ...], ...]:
     """Exponent supports of the n-1 parity entries of a systematic row."""
     require_systematic(x)
-    return tuple([p.support for p in x.entries[0][:-1]])
+    return tuple([p.support for p in x.row[:-1]])
 
 
 def memory(h: PolyMatrix) -> int:
     """Encoder memory of a single parity row: its largest exponent."""
-    top = max((p.support[-1] for p in h.entries[0] if p.support), default=None)
+    top = max((p.support[-1] for p in h.row if p.support), default=None)
     if top is None:
         raise ValueError("memory of the zero matrix is undefined")
     return top

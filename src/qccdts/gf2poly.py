@@ -3,7 +3,9 @@
 A polynomial is stored sparsely as its exponent support: a strictly
 increasing tuple of integers, each carrying coefficient 1 over GF(2).
 Negative exponents are allowed (Laurent terms); the zero polynomial has
-empty support. All values are immutable and all operations are pure, so
+empty support and no degree. A generator X(D) or Z(D) is a
+:class:`PolyMatrix`, whose value is its one row of polynomials,
+``x.row``. All values are immutable and all operations are pure, so
 they are safe to share across threads.
 
 The textual form used everywhere (CLI output, golden files) is
@@ -18,9 +20,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 from operator import attrgetter
-
-#: Degree of the zero polynomial. A distinguished sentinel, never -1.
-NEG_INF = float("-inf")
 
 _setattr = object.__setattr__
 
@@ -77,10 +76,11 @@ class Gf2Poly(_Record):
 
     __slots__ = ("support",)
 
-    def __init__(self, support: tuple[int, ...] = ()) -> None:
+    def __init__(self, support: Iterable[int] = ()) -> None:
+        support = tuple(support)
         prev = None
         for e in support:
-            if not isinstance(e, int):
+            if not isinstance(e, int) or isinstance(e, bool):
                 raise ValueError(f"exponent {e!r} is not an integer")
             if prev is not None and e <= prev:
                 raise ValueError(f"support {support!r} must be strictly increasing")
@@ -94,13 +94,11 @@ class Gf2Poly(_Record):
         return cls(tuple(sorted(e for e, c in counts.items() if c % 2)))
 
     @property
-    def degree(self) -> int | float:
-        """Largest exponent, or NEG_INF for the zero polynomial."""
-        return self.support[-1] if self.support else NEG_INF
-
-    @property
-    def min_exponent(self) -> int | float:
-        return self.support[0] if self.support else NEG_INF
+    def degree(self) -> int:
+        """Largest exponent; the zero polynomial has none."""
+        if not self.support:
+            raise ValueError("degree of the zero polynomial is undefined")
+        return self.support[-1]
 
     @property
     def weight(self) -> int:
@@ -158,58 +156,33 @@ D = Gf2Poly((1,))
 class PolyMatrix(_Record):
     """One row of Gf2Poly values: a stabilizer generator X(D) or Z(D).
 
-    ``entries`` keeps the grid layout, a 1-tuple holding the row, so
-    ``entry(0, j)`` reads column j. Zero rows or several are rejected:
-    every X and Z the construction builds, and every command checks, is
-    one row.
+    The value is the row itself, ``row``, a tuple read as ``x.row[j]``.
+    Every X and Z the construction builds, and every command checks, is
+    one such row, so no other shape exists.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("row",)
 
-    def __init__(self, entries: tuple[tuple[Gf2Poly, ...], ...]) -> None:
-        if len(entries) != 1:
-            raise ValueError(f"matrix must hold exactly one row, got {len(entries)}")
-        if not entries[0]:
+    def __init__(self, polys: Iterable[Gf2Poly]) -> None:
+        row = tuple(polys)
+        if not row:
             raise ValueError("matrix must have at least one column")
-        for p in entries[0]:
+        for p in row:
             if not isinstance(p, Gf2Poly):
                 raise ValueError(f"entry {p!r} is not a Gf2Poly")
-        _setattr(self, "entries", entries)
+        _setattr(self, "row", row)
 
     @classmethod
-    def row(cls, polys: Iterable[Gf2Poly]) -> "PolyMatrix":
-        return cls((tuple(polys),))
-
-    @classmethod
-    def from_supports(cls, grid: Iterable[Iterable[Iterable[int]]]) -> "PolyMatrix":
-        return cls(
-            tuple(
-                tuple(Gf2Poly.from_exponents(cell) for cell in row) for row in grid
-            )
-        )
-
-    @property
-    def nrows(self) -> int:
-        return 1
+    def from_supports(cls, supports: Iterable[Iterable[int]]) -> "PolyMatrix":
+        """The row whose column j folds the exponents ``supports[j]`` mod 2."""
+        return cls(Gf2Poly.from_exponents(cell) for cell in supports)
 
     @property
     def ncols(self) -> int:
-        return len(self.entries[0])
-
-    def entry(self, i: int, j: int) -> Gf2Poly:
-        return self.entries[i][j]
-
-    @property
-    def max_degree(self) -> int | float:
-        return max(p.degree for p in self.entries[0])
-
-    @property
-    def min_exponent(self) -> int | float:
-        live = [p.min_exponent for p in self.entries[0] if p]
-        return min(live) if live else NEG_INF
+        return len(self.row)
 
     def is_zero(self) -> bool:
-        return not any(self.entries[0])
+        return not any(self.row)
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(p) for p in self.entries[0]) + ")"
+        return "(" + ", ".join(str(p) for p in self.row) + ")"

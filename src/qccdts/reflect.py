@@ -54,10 +54,7 @@ def build_z(x: PolyMatrix, pi: Sequence[int] | None = None) -> PolyMatrix:
     streams = x.ncols - 1
     pi = identity_permutation(streams) if pi is None else _check_permutation(pi, streams)
     window = memory(x)
-    entries = tuple(
-        x.entry(0, pi[j] - 1).reverse(window) for j in range(streams)
-    ) + (ONE,)
-    return PolyMatrix.row(entries)
+    return PolyMatrix([*(x.row[k - 1].reverse(window) for k in pi), ONE])
 
 
 class VerifyReport(_Record):

@@ -13,14 +13,14 @@ def example_family() -> DtsFamily:
 
 @pytest.fixture
 def example_x() -> PolyMatrix:
-    return PolyMatrix.from_supports([[(0, 1), (0, 2), (0,)]])
+    return PolyMatrix.from_supports([(0, 1), (0, 2), (0,)])
 
 
 @pytest.fixture
 def example_z_swapped() -> PolyMatrix:
-    return PolyMatrix.from_supports([[(0, 2), (1, 2), (0,)]])
+    return PolyMatrix.from_supports([(0, 2), (1, 2), (0,)])
 
 
 @pytest.fixture
 def example_z_identity() -> PolyMatrix:
-    return PolyMatrix.from_supports([[(1, 2), (0, 2), (0,)]])
+    return PolyMatrix.from_supports([(1, 2), (0, 2), (0,)])

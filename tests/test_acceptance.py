@@ -63,7 +63,7 @@ def _run_cli(argv: list[str]) -> tuple[int, str]:
 
 
 def _x_of(row) -> PolyMatrix:
-    return PolyMatrix.from_supports([list(row.g_x) + [(0,)]])
+    return PolyMatrix.from_supports([*row.g_x, (0,)])
 
 
 def _example_pipeline():
@@ -191,7 +191,7 @@ def test_criterion_4_permutation_sweep():
             for fam in search_strong_dts(r, w, 10):
                 x = build_systematic_x(fam)
                 m = memory(x)
-                entries = [x.entry(0, k) for k in range(fam.size)]
+                entries = [x.row[k] for k in range(fam.size)]
                 products = {}
                 for a in range(fam.size):
                     for b in range(fam.size):
@@ -341,10 +341,8 @@ def _random_poly(rng: random.Random, max_weight: int = 8, max_exp: int = 64) -> 
 def _random_row(rng: random.Random, n: int, max_exp: int = 8) -> PolyMatrix:
     return PolyMatrix.from_supports(
         [
-            [
-                tuple(sorted(rng.sample(range(0, max_exp + 1), rng.randint(0, 3))))
-                for _ in range(n)
-            ]
+            tuple(sorted(rng.sample(range(0, max_exp + 1), rng.randint(0, 3))))
+            for _ in range(n)
         ]
     )
 

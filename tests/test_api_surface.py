@@ -25,7 +25,6 @@ PUBLIC_NAMES = [
     "DtsFamily",
     "Gf2Poly",
     "Method",
-    "NEG_INF",
     "ONE",
     "PolyMatrix",
     "ReflectionSymmetryReport",

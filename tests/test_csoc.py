@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from qccdts import (
+    ONE,
     DtsClass,
+    Gf2Poly,
     PolyMatrix,
     build_systematic_x,
     classify,
@@ -66,11 +68,11 @@ class TestMemory:
         assert memory(build_systematic_x(fam)) == 5
 
     def test_memoryless(self):
-        h = PolyMatrix.from_supports([[(0,), (0,)]])
+        h = PolyMatrix.from_supports([(0,), (0,)])
         assert memory(h) == 0
 
     def test_zero_matrix_rejected(self):
-        h = PolyMatrix.from_supports([[(), ()]])
+        h = PolyMatrix.from_supports([(), ()])
         with pytest.raises(ValueError):
             memory(h)
 
@@ -84,7 +86,7 @@ class TestIsCsoc:
         assert is_csoc(example_x).ok
 
     def test_within_entry_collision(self):
-        x = PolyMatrix.from_supports([[(0, 1, 2), (0,)]])
+        x = PolyMatrix.from_supports([(0, 1, 2), (0,)])
         report = is_csoc(x)
         assert not report.ok
         assert any(
@@ -92,7 +94,7 @@ class TestIsCsoc:
         )
 
     def test_cross_entry_collision(self):
-        x = PolyMatrix.from_supports([[(0, 1), (0, 1), (0,)]])
+        x = PolyMatrix.from_supports([(0, 1), (0, 1), (0,)])
         report = is_csoc(x)
         assert not report.ok
         assert any(
@@ -101,17 +103,17 @@ class TestIsCsoc:
 
     def test_requires_systematic(self):
         with pytest.raises(ValueError, match="systematic"):
-            is_csoc(PolyMatrix.from_supports([[(0, 1), (1,)]]))
+            is_csoc(PolyMatrix.from_supports([(0, 1), (1,)]))
 
     def test_requires_one_row(self):
-        # A systematic first row does not make a two-row matrix one: no
-        # such matrix is built, so none reaches the difference check.
+        # A systematic first row does not make a two-row grid one: no such
+        # value is built, so none reaches the difference check.
+        first, second = (Gf2Poly((0, 1)), ONE), (Gf2Poly((0, 2)), ONE)
         with pytest.raises(
-            ValueError, match="^matrix must hold exactly one row, got 2$"
+            ValueError,
+            match=r"^entry \(Gf2Poly\('1\+D'\), Gf2Poly\('1'\)\) is not a Gf2Poly$",
         ):
-            parity_supports(
-                PolyMatrix.from_supports([[(0, 1), (0,)], [(0, 2), (0,)]])
-            )
+            parity_supports(PolyMatrix((first, second)))
 
     def test_strong_families_are_csoc(self):
         checked = 0
@@ -122,8 +124,8 @@ class TestIsCsoc:
 
     def test_table_rows_are_csoc(self):
         for row in TABLE_ROWS:
-            x = PolyMatrix.from_supports([list(row.g_x) + [(0,)]])
-            z = PolyMatrix.from_supports([list(row.g_z) + [(0,)]])
+            x = PolyMatrix.from_supports([*row.g_x, (0,)])
+            z = PolyMatrix.from_supports([*row.g_z, (0,)])
             assert is_csoc(x).ok
             assert is_csoc(z).ok
 

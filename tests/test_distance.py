@@ -37,7 +37,7 @@ DISTANCE_POOL = json.loads(
 
 
 def _row(*supports) -> PolyMatrix:
-    return PolyMatrix.from_supports([list(supports)])
+    return PolyMatrix.from_supports(supports)
 
 
 def _column_distance_bruteforce(x: PolyMatrix, j: int) -> int:
@@ -148,7 +148,7 @@ def _random_row(
     ]
     k = rng.randrange(streams)
     supports[k] = sorted(set(supports[k]) | {mu})
-    return PolyMatrix.from_supports([supports + [(0,)]])
+    return PolyMatrix.from_supports(supports + [(0,)])
 
 
 def _verify_witness(x: PolyMatrix, witness, expected_weight: int) -> None:
@@ -213,7 +213,7 @@ class TestColumnDistance:
             _random_row(rng, streams, rng.randint(0, 6))
             for streams in (rng.randint(1, 4) for _ in range(60))
         ]
-        rows += [PolyMatrix.from_supports([[(0,)] * (r + 1)]) for r in range(1, 5)]
+        rows += [PolyMatrix.from_supports([(0,)] * (r + 1)) for r in range(1, 5)]
         assert sum(not is_csoc(x).ok for x in rows) >= 10
         assert sum(memory(x) == 0 for x in rows) >= 4
         for x in rows:
@@ -419,7 +419,7 @@ class TestDfreeExact:
     def test_permutation_invariance(self):
         fam = classify([(0, 1), (0, 2), (0, 5)])
         x = build_systematic_x(fam)
-        permuted = PolyMatrix.from_supports([[(0, 5), (0, 1), (0, 2), (0,)]])
+        permuted = PolyMatrix.from_supports([(0, 5), (0, 1), (0, 2), (0,)])
         assert dfree_exact(x, budget=4) == dfree_exact(permuted, budget=4)
 
     def test_matches_bruteforce_with_horizon(self):
@@ -497,7 +497,7 @@ class TestTableDistances:
         for row in TABLE_ROWS:
             if row.m > 12:
                 continue
-            x = PolyMatrix.from_supports([list(row.g_x) + [(0,)]])
+            x = PolyMatrix.from_supports([*row.g_x, (0,)])
             assert dfree_exact(x, budget=row.w + 1) == row.w + 1
 
     def test_exact_search_confirms_every_certificate(self, monkeypatch):
@@ -516,7 +516,7 @@ class TestTableDistances:
 
     def test_every_row_has_verified_witness(self):
         for row in TABLE_ROWS:
-            x = PolyMatrix.from_supports([list(row.g_x) + [(0,)]])
+            x = PolyMatrix.from_supports([*row.g_x, (0,)])
             cert = dfree_upper(x)
             assert cert.d_free == row.w + 1
             _verify_witness(x, cert.witness, row.w + 1)

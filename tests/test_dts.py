@@ -333,7 +333,7 @@ class TestRepeatedDifferences:
         want = _collisions_bruteforce(supports)
         assert self._as_pairs(repeated_differences(supports)) == want
         assert classify(supports).classification == _verdict_bruteforce(supports)
-        x = PolyMatrix.from_supports([list(supports) + [(0,)]])
+        x = PolyMatrix.from_supports([*supports, (0,)])
         assert self._as_pairs(is_csoc(x).collisions) == want
 
     def test_three_entries_share_one_difference(self):
@@ -345,7 +345,7 @@ class TestRepeatedDifferences:
     def test_empty_parity_entries(self):
         # A hand-built row may hold zero polynomials; they have no differences.
         supports = [(0, 1), (), (3, 4), (), (0, 2, 4)]
-        x = PolyMatrix.from_supports([supports + [(0,)]])
+        x = PolyMatrix.from_supports(supports + [(0,)])
         want = _collisions_bruteforce(supports)
         assert want == [(2, (5,)), (1, (1, 3))]
         assert self._as_pairs(is_csoc(x).collisions) == want
@@ -360,7 +360,7 @@ class TestRepeatedDifferences:
             assert self._as_pairs(repeated_differences(supports)) == want
             fam = classify(supports)
             assert fam.classification == _verdict_bruteforce(supports)
-            x = PolyMatrix.from_supports([supports + [(0,)]])
+            x = PolyMatrix.from_supports(supports + [(0,)])
             report = is_csoc(x)
             assert self._as_pairs(report.collisions) == want
             assert report.ok == (not want)

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qccdts import (
-    NEG_INF,
     ONE,
     ZERO,
+    D,
     Gf2Poly,
     PolyMatrix,
     symplectic_sum,
@@ -41,10 +41,32 @@ class TestPolyBasics:
     def test_from_exponents_folds_parity(self):
         assert Gf2Poly.from_exponents([3, 1, 3, 3]) == P(1, 3)
 
-    def test_zero_degree_is_sentinel(self):
-        assert ZERO.degree == NEG_INF
-        assert ZERO.degree != -1
+    @pytest.mark.parametrize(
+        "support, bad",
+        [((False, True), "False"), ((0, True), "True"), ([True], "True")],
+    )
+    def test_validation_rejects_bool(self, support, bad):
+        # bool is an int subclass, but not an exponent.
+        with pytest.raises(ValueError, match=f"^exponent {bad} is not an integer$"):
+            Gf2Poly(support)
+
+    def test_support_is_stored_as_a_tuple(self):
+        """A list or a generator of exponents gives the same hashable value
+        as the tuple."""
+        want = P(0, 1)
+        for support in ([0, 1], (e for e in (0, 1)), range(2)):
+            p = Gf2Poly(support)
+            assert type(p.support) is tuple
+            assert p == want
+            assert hash(p) == hash(want)
+
+    def test_zero_degree_raises(self):
+        with pytest.raises(
+            ValueError, match="^degree of the zero polynomial is undefined$"
+        ):
+            ZERO.degree
         assert P(0).degree == 0
+        assert P(-3, 2).degree == 2
 
     def test_weight(self):
         assert ZERO.weight == 0
@@ -107,19 +129,15 @@ class TestRendering:
         assert str(poly) == text
 
 
-def _mmt_oracle(a: PolyMatrix, b: PolyMatrix) -> dict:
-    """Independent coefficient-by-coefficient A(D) B(D^-1)^T for cross-checking."""
-    out = {}
-    for i in range(a.nrows):
-        for j in range(b.nrows):
-            counts = {}
-            for k in range(a.ncols):
-                for t in a.entry(i, k).support:
-                    for u in b.entry(j, k).support:
-                        s = t - u
-                        counts[s] = counts.get(s, 0) + 1
-            out[(i, j)] = frozenset(s for s, c in counts.items() if c % 2)
-    return out
+def _mmt_oracle(a: PolyMatrix, b: PolyMatrix) -> frozenset:
+    """Independent coefficient-by-coefficient A(D) B(D^-1)^T for
+    cross-checking: the exponents of its one entry."""
+    counts = {}
+    for p, q in zip(a.row, b.row, strict=True):
+        for t in p.support:
+            for u in q.support:
+                counts[t - u] = counts.get(t - u, 0) + 1
+    return frozenset(s for s, c in counts.items() if c % 2)
 
 
 class TestMatMulTranspose:
@@ -131,26 +149,26 @@ class TestMatMulTranspose:
     ):
         # X(D) Z(D^-1)^T for the swapped pair collapses to the constant 1,
         # and so does Z(D) X(D^-1)^T: the sum is zero.
-        assert _mmt_oracle(example_x, example_z_swapped) == {(0, 0): {0}}
-        assert _mmt_oracle(example_z_swapped, example_x) == {(0, 0): {0}}
+        assert _mmt_oracle(example_x, example_z_swapped) == {0}
+        assert _mmt_oracle(example_z_swapped, example_x) == {0}
         got = symplectic_sum(example_x, example_z_swapped)
-        assert got.nrows == got.ncols == 1
+        assert got.ncols == 1
         assert got.is_zero()
 
     def test_single_entry_identity(self):
         # 1 * D^-1 + D * 1: each half keeps its own exponent.
-        one = PolyMatrix.from_supports([[(0,)]])
-        d = PolyMatrix.from_supports([[(1,)]])
-        assert symplectic_sum(one, d).entry(0, 0) == Gf2Poly((-1, 1))
-        assert symplectic_sum(one, one).entry(0, 0) == ZERO
+        one = PolyMatrix.from_supports([(0,)])
+        d = PolyMatrix.from_supports([(1,)])
+        assert symplectic_sum(one, d).row[0] == Gf2Poly((-1, 1))
+        assert symplectic_sum(one, one).row[0] == ZERO
 
     def test_zero_right_factor(self, example_x):
-        zero = PolyMatrix.from_supports([[(), (), ()]])
+        zero = PolyMatrix.from_supports([(), (), ()])
         assert symplectic_sum(example_x, zero).is_zero()
         assert symplectic_sum(zero, example_x).is_zero()
 
     def test_dimension_mismatch(self, example_x):
-        short = PolyMatrix.from_supports([[(0,), (1,)]])
+        short = PolyMatrix.from_supports([(0,), (1,)])
         with pytest.raises(ValueError, match="^column counts differ: 3 vs 2$"):
             symplectic_sum(example_x, short)
 
@@ -164,25 +182,22 @@ class TestMatMulTranspose:
             def rand_row():
                 return PolyMatrix.from_supports(
                     [
-                        [
-                            sorted(
-                                rng.choice(
-                                    np.arange(-8, 9),
-                                    size=rng.integers(0, 4),
-                                    replace=False,
-                                ).tolist()
-                            )
-                            for _ in range(n)
-                        ]
+                        sorted(
+                            rng.choice(
+                                np.arange(-8, 9),
+                                size=rng.integers(0, 4),
+                                replace=False,
+                            ).tolist()
+                        )
+                        for _ in range(n)
                     ]
                 )
             x, z = rand_row(), rand_row()
             got = symplectic_sum(x, z)
-            assert (got.nrows, got.ncols) == (1, 1)
-            xz, zx = _mmt_oracle(x, z), _mmt_oracle(z, x)
-            assert set(got.entry(0, 0).support) == xz[0, 0] ^ zx[0, 0]
-            negative += min(x.min_exponent, z.min_exponent) < 0
-            zero_entries += any(p.is_zero() for m in (x, z) for p in m.entries[0])
+            assert got.ncols == 1
+            assert set(got.row[0].support) == _mmt_oracle(x, z) ^ _mmt_oracle(z, x)
+            negative += any(p.support[0] < 0 for m in (x, z) for p in m.row if p)
+            zero_entries += any(p.is_zero() for m in (x, z) for p in m.row)
         assert min(negative, zero_entries) >= 50
 
 
@@ -197,52 +212,78 @@ class TestCoefficientMatrix:
         assert coefficient_matrix(example_x, 5).tolist() == [[0, 0, 0]]
 
     def test_reconstruction(self, example_x):
-        lo, hi = 0, int(example_x.max_degree)
-        rebuilt = [
-            [set() for _ in range(example_x.ncols)]
-            for _ in range(example_x.nrows)
-        ]
-        for s in range(lo, hi + 1):
-            mat = coefficient_matrix(example_x, s)
-            for i in range(example_x.nrows):
-                for j in range(example_x.ncols):
-                    if mat[i, j]:
-                        rebuilt[i][j].add(s)
-        for i in range(example_x.nrows):
-            for j in range(example_x.ncols):
-                assert tuple(sorted(rebuilt[i][j])) == example_x.entry(i, j).support
+        hi = max(p.degree for p in example_x.row)
+        rebuilt = [[] for _ in example_x.row]
+        for s in range(hi + 1):
+            (coefficients,) = coefficient_matrix(example_x, s)
+            for j, bit in enumerate(coefficients):
+                if bit:
+                    rebuilt[j].append(s)
+        assert [tuple(c) for c in rebuilt] == [p.support for p in example_x.row]
+
+
+_NO_COLUMN = "^matrix must have at least one column$"
+_ROW_IN_A_ROW = r"^entry \(Gf2Poly\('1'\),\) is not a Gf2Poly$"
 
 
 class TestPolyMatrixValidation:
     @pytest.mark.parametrize(
-        "build, rows",
+        "build, message",
         [
-            (lambda: PolyMatrix(()), 0),
-            (lambda: PolyMatrix(((ONE,), (ONE,))), 2),
-            (lambda: PolyMatrix(((ONE,), (ONE, ONE))), 2),
-            (lambda: PolyMatrix.from_supports([]), 0),
-            (lambda: PolyMatrix.from_supports([[(0, 1), (0,)], [(0, 2), (0,)]]), 2),
+            (lambda: PolyMatrix(()), _NO_COLUMN),
+            (lambda: PolyMatrix(((ONE,), (ONE,))), _ROW_IN_A_ROW),
+            (lambda: PolyMatrix(((ONE,), (ONE, ONE))), _ROW_IN_A_ROW),
+            (lambda: PolyMatrix.from_supports([]), _NO_COLUMN),
+            (
+                lambda: PolyMatrix.from_supports([[(0, 1), (0,)], [(0, 2), (0,)]]),
+                r"^exponent \(0,\) is not an integer$",
+            ),
         ],
         ids=[
             "empty", "two-rows", "ragged", "from-supports-empty",
             "from-supports-two-rows",
         ],
     )
-    def test_row_count_rejected(self, build, rows):
-        """Every X and Z is one row: no other shape is built, so no library
-        function receives one."""
-        with pytest.raises(
-            ValueError, match=f"^matrix must hold exactly one row, got {rows}$"
-        ):
+    def test_row_count_rejected(self, build, message):
+        """The value is one row: no columns, or a grid of rows in the old
+        layout, is rejected, because a row is no Gf2Poly and a row of
+        supports is no exponent."""
+        with pytest.raises(ValueError, match=message):
             build()
 
     def test_empty_row_rejected(self):
-        with pytest.raises(ValueError, match="^matrix must have at least one column$"):
-            PolyMatrix(((),))
+        for empty in ((), [], iter(())):
+            with pytest.raises(ValueError, match=_NO_COLUMN):
+                PolyMatrix(empty)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             PolyMatrix(())
+
+    def test_non_poly_entry_rejected(self):
+        with pytest.raises(ValueError, match=r"^entry \(0, 1\) is not a Gf2Poly$"):
+            PolyMatrix([ONE, (0, 1)])
+        with pytest.raises(
+            ValueError,
+            match=r"^entry \[Gf2Poly\('1'\), Gf2Poly\('D'\)\] is not a Gf2Poly$",
+        ):
+            PolyMatrix([[ONE, D]])
+
+    def test_any_iterable_gives_one_value(self):
+        """A list, a tuple and a generator of the same entries build equal,
+        equally hashed values holding a tuple."""
+        entries = (ONE, D)
+        built = [
+            PolyMatrix(list(entries)),
+            PolyMatrix(entries),
+            PolyMatrix(p for p in entries),
+        ]
+        for x in built:
+            assert type(x.row) is tuple
+            assert x.row == entries
+            assert x == built[1]
+            assert hash(x) == hash(built[1])
+        assert len(set(built)) == 1
 
     def test_row_rendering(self, example_x):
         assert str(example_x) == "(1+D, 1+D^2, 1)"
@@ -269,13 +310,13 @@ def test_mul_distributes_over_add(p, q, r):
 
 @given(window_supports, st.integers(min_value=0, max_value=20))
 def test_reverse_is_involution(p, slack):
-    window = (int(p.degree) if p else 0) + slack
+    window = (p.degree if p else 0) + slack
     assert p.reverse(window).reverse(window) == p
 
 
 @given(window_supports)
 def test_reverse_matches_shifted_inverse_substitution(p):
-    window = int(p.degree) if p else 0
+    window = p.degree if p else 0
     inverse = sorted(-e for e in p.support)  # substitute D -> D^-1
     shifted = Gf2Poly(tuple(e + window for e in inverse))
     assert p.reverse(window) == shifted

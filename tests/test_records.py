@@ -31,7 +31,7 @@ from qccdts.cli import _code_input
 
 
 def _x() -> PolyMatrix:
-    return PolyMatrix.from_supports([[(0, 1), (0, 2), (0,)]])
+    return PolyMatrix.from_supports([(0, 1), (0, 2), (0,)])
 
 
 def _values(value) -> tuple:
@@ -46,7 +46,7 @@ RECORDS = {
     ),
     "PolyMatrix": (
         _x,
-        "PolyMatrix(entries=((Gf2Poly('1+D'), Gf2Poly('1+D^2'), Gf2Poly('1')),))",
+        "PolyMatrix(row=(Gf2Poly('1+D'), Gf2Poly('1+D^2'), Gf2Poly('1')))",
     ),
     "DifferenceCollision": (
         lambda: DifferenceCollision(2, (1, 2)),
@@ -58,7 +58,7 @@ RECORDS = {
         " budget=2)",
     ),
     "CsocReport": (
-        lambda: is_csoc(PolyMatrix.from_supports([[(0, 1), (0, 1, 2), (0,)]])),
+        lambda: is_csoc(PolyMatrix.from_supports([(0, 1), (0, 1, 2), (0,)])),
         "CsocReport(ok=False, collisions=(DifferenceCollision(difference=1,"
         " entries=(2,)), DifferenceCollision(difference=1, entries=(1, 2))))",
     ),
@@ -74,7 +74,7 @@ RECORDS = {
     ),
     "ReflectionSymmetryReport": (
         lambda: check_reflection_symmetry(
-            PolyMatrix.from_supports([[(0, 1), (0, 3), (0,)]])
+            PolyMatrix.from_supports([(0, 1), (0, 3), (0,)])
         ),
         "ReflectionSymmetryReport(ok=False, counterexample=(2, 1, 1))",
     ),

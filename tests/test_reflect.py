@@ -72,7 +72,7 @@ class TestBuildZ:
         assert build_z(example_x, (1, 2)) == example_z_identity
 
     def test_degree_zero(self):
-        x = PolyMatrix.from_supports([[(0,), (0,)]])
+        x = PolyMatrix.from_supports([(0,), (0,)])
         assert build_z(x, (1,)) == x
 
     def test_rejects_non_permutation(self, example_x):
@@ -136,7 +136,7 @@ class TestVerifyPair:
         )
 
     def test_non_csoc_x_has_no_certificate(self):
-        x = PolyMatrix.from_supports([[(0, 1, 2), (0,)]])
+        x = PolyMatrix.from_supports([(0, 1, 2), (0,)])
         report = verify_pair(x, build_z(x))
         assert report.certificate is None
         assert report.checks["csoc_x"] is False

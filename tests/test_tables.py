@@ -19,11 +19,11 @@ from references import reflect_family
 
 
 def _x_of(row) -> PolyMatrix:
-    return PolyMatrix.from_supports([list(row.g_x) + [(0,)]])
+    return PolyMatrix.from_supports([*row.g_x, (0,)])
 
 
 def _z_of(row) -> PolyMatrix:
-    return PolyMatrix.from_supports([list(row.g_z) + [(0,)]])
+    return PolyMatrix.from_supports([*row.g_z, (0,)])
 
 
 def test_catalogue_shape():

@@ -344,13 +344,36 @@ MUTANTS = [
         "if False:",
         ("tests/test_distance.py",),
     ),
-    # The one row shape, gf2poly.PolyMatrix.
+    # The one row shape, gf2poly.PolyMatrix, and the Gf2Poly it holds.
     (
         "PolyMatrix accepts a second row",
         "gf2poly.py",
-        "if len(entries) != 1:",
-        "if len(entries) < 1:",
+        "            if not isinstance(p, Gf2Poly):\n",
+        "            if not isinstance(p, (Gf2Poly, tuple)):\n",
         ("tests/test_gf2poly.py", "tests/test_csoc.py"),
+    ),
+    (
+        "PolyMatrix keeps a list row",
+        "gf2poly.py",
+        "        row = tuple(polys)\n",
+        "        row = polys if isinstance(polys, list) else tuple(polys)\n",
+        ("tests/test_gf2poly.py",),
+    ),
+    (
+        "Gf2Poly accepts a bool exponent",
+        "gf2poly.py",
+        "if not isinstance(e, int) or isinstance(e, bool):",
+        "if not isinstance(e, int):",
+        ("tests/test_gf2poly.py",),
+    ),
+    (
+        "degree of zero returns a value",
+        "gf2poly.py",
+        "        if not self.support:\n"
+        '            raise ValueError("degree of the zero polynomial is undefined")\n'
+        "        return self.support[-1]\n",
+        "        return self.support[-1] if self.support else -1\n",
+        ("tests/test_gf2poly.py",),
     ),
     # The A7 check: the one-row kernel and the scan over s.
     (
@@ -370,8 +393,8 @@ MUTANTS = [
     (
         "A7 kernel skips the identity column",
         "symplectic.py",
-        "    for p in x.entries[0]:\n",
-        "    for p in x.entries[0][:-1]:\n",
+        "    for p in x.row:\n",
+        "    for p in x.row[:-1]:\n",
         ("tests/test_symplectic.py",),
     ),
     (
@@ -415,8 +438,8 @@ MUTANTS = [
     (
         "is_commuting drops a violation",
         "symplectic.py",
-        "symplectic_sum(x, z).entry(0, 0).support)",
-        "symplectic_sum(x, z).entry(0, 0).support[1:])",
+        "symplectic_sum(x, z).row[0].support)",
+        "symplectic_sum(x, z).row[0].support[1:])",
         ("tests/test_symplectic.py",),
     ),
     # The record base, gf2poly._Record.
