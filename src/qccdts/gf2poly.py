@@ -18,7 +18,7 @@ nothing parses the text back.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from operator import attrgetter
 
 _setattr = object.__setattr__
@@ -89,9 +89,25 @@ class Gf2Poly(_Record):
 
     @classmethod
     def from_exponents(cls, exponents: Iterable[int]) -> "Gf2Poly":
-        """Build a polynomial from exponents, folding duplicates mod 2."""
-        counts = Counter(exponents)
-        return cls(tuple(sorted(e for e, c in counts.items() if c % 2)))
+        """Build a polynomial from exponents, folding duplicates mod 2.
+
+        A non-integer exponent fails to hash or to sort before the
+        constructor can check it. That TypeError is turned into the
+        constructor's ValueError by checking each exponent seen, so integer
+        input pays for no extra pass. A one-shot iterator whose unhashable
+        item is already spent keeps the TypeError.
+        """
+        counts = None
+        try:
+            counts = Counter(exponents)
+            odd = sorted(e for e, c in counts.items() if c % 2)
+        except TypeError:
+            seen = exponents if counts is None else counts
+            if isinstance(seen, Collection):
+                for e in seen:
+                    cls((e,))  # the constructor names a non-integer
+            raise
+        return cls(odd)
 
     @property
     def degree(self) -> int:

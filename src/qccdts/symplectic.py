@@ -10,11 +10,13 @@ bookkeeping behind the commutation condition for reflected pairs.
 
 With one row, C_s is 1 x 1, so it equals its transpose, and the ordered
 pairs with t != u come in twos and cancel mod 2. That leaves
-C_s = #{k : s even and s/2 in L_k} mod 2, one membership test per
-column: an odd s returns a shared ((0,),) at once, and an even s counts
-the columns holding s >> 1 in a plain loop and returns a shared ((1,),)
-or ((0,),) by its parity, so each call costs a few integer operations
-and allocates nothing.
+C_s = #{k : s even and s/2 in L_k} mod 2: 1 exactly when s is even and
+s/2 is an odd-occupancy delay, one held by an odd number of columns.
+``_odd_delays`` builds that set once per row, as the XOR of the
+supports, and keeps the last row's set in a one-entry memo keyed by
+object identity. An odd s returns a shared ((0,),) at once, and an even
+s is one set lookup that returns a shared ((1,),) or ((0,),), so the
+2M + 1 calls of one check read the row's supports once.
 
 ``check_reflection_symmetry`` tests the identity C_s = C_{2M-s}^T on
 [0, 2M], which for one row is C_s = C_{2M-s}: the per-delay
@@ -87,6 +89,28 @@ def is_commuting(x: PolyMatrix, z: PolyMatrix) -> SymplecticReport:
 _ZERO_1X1 = ((0,),)
 _ONE_1X1 = ((1,),)
 
+# The last row seen by _odd_delays and its set, kept as one tuple so that
+# a concurrent reader always unpacks a matching pair.
+_last_odd: tuple[PolyMatrix | None, frozenset[int]] = (None, frozenset())
+
+
+def _odd_delays(x: PolyMatrix) -> frozenset[int]:
+    """The delays held by an odd number of x's columns: the XOR of the supports.
+
+    The systematic column counts like any other. The last row's set is
+    kept, keyed by identity, so the 2M + 1 kernel calls of one A7 check
+    build it once; the memo holds that row, so its identity stays unique.
+    """
+    global _last_odd
+    last_x, delays = _last_odd
+    if last_x is not x:
+        odd: set[int] = set()
+        for p in x.row:
+            odd.symmetric_difference_update(p.support)
+        delays = frozenset(odd)
+        _last_odd = (x, delays)
+    return delays
+
 
 def sum_index_matrix(x: PolyMatrix, s: int) -> tuple[tuple[int, ...], ...]:
     """C_s(X): the parity of tap pairs summing to s, over the row's columns.
@@ -95,18 +119,14 @@ def sum_index_matrix(x: PolyMatrix, s: int) -> tuple[tuple[int, ...], ...]:
     (the systematic identity column participates like any other, with
     support {0}), and returns it as the 1 x 1 tuple ((0,),) or ((1,),),
     both shared. Only the pairs with t = u count: the others come in twos
-    and cancel mod 2. So C_s is the parity of the columns whose support
-    holds s/2, and 0 for odd s; ``s & 1`` and ``s >> 1`` keep this exact
-    for any integer s, negative ones included.
+    and cancel mod 2. So C_s is 0 for odd s, and for even s it is 1
+    exactly when s/2 is one of the row's odd-occupancy delays, the set
+    ``_odd_delays`` builds once per row; ``s & 1`` and ``s >> 1`` keep
+    this exact for any integer s, negative ones included.
     """
     if s & 1:
         return _ZERO_1X1
-    half = s >> 1
-    count = 0
-    for p in x.row:
-        if half in p.support:
-            count += 1
-    return _ONE_1X1 if count & 1 else _ZERO_1X1
+    return _ONE_1X1 if s >> 1 in _odd_delays(x) else _ZERO_1X1
 
 
 class ReflectionSymmetryReport(_Record):

@@ -50,6 +50,24 @@ class TestPolyBasics:
         with pytest.raises(ValueError, match=f"^exponent {bad} is not an integer$"):
             Gf2Poly(support)
 
+    @pytest.mark.parametrize(
+        "build, bad",
+        [
+            (lambda: Gf2Poly.from_exponents([0, "a"]), "'a'"),
+            (lambda: Gf2Poly.from_exponents([0, None]), "None"),
+            (lambda: Gf2Poly.from_exponents([0, [1]]), r"\[1\]"),
+            (lambda: Gf2Poly.from_exponents(e for e in (0, None)), "None"),
+            (lambda: Gf2Poly.from_exponents([0, True]), "True"),
+            (lambda: PolyMatrix.from_supports([[0, "a"]]), "'a'"),
+        ],
+        ids=["str", "None", "list", "None from a generator", "bool", "from_supports"],
+    )
+    def test_from_exponents_names_a_non_integer(self, build, bad):
+        """Hashing or sorting a non-integer fails before the constructor
+        checks it; the caller still gets the constructor's message."""
+        with pytest.raises(ValueError, match=f"^exponent {bad} is not an integer$"):
+            build()
+
     def test_support_is_stored_as_a_tuple(self):
         """A list or a generator of exponents gives the same hashable value
         as the tuple."""

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from itertools import permutations
 
 import numpy as np
@@ -180,6 +182,83 @@ class TestSumIndexMatrix:
             sum_index_matrix(with_id, 0)[0][0]
             != sum_index_matrix(without, 0)[0][0]
         )
+
+
+class TestOddDelayMemo:
+    """``sum_index_matrix`` reads each row's odd-occupancy delays from a
+    one-entry memo keyed by identity: switching rows on every call, or
+    checking rows from several threads, must not leak one row's set into
+    another's answers."""
+
+    @staticmethod
+    def _columns_holding_half(x: PolyMatrix, s: int) -> int:
+        """The number of columns whose support holds s/2, mod 2 (0 for odd s)."""
+        if s % 2:
+            return 0
+        return sum(s // 2 in p.support for p in x.row) % 2
+
+    def test_alternating_rows_match_a_direct_count(self):
+        first = _row((0, 1, 5), (0, 2), (0,))
+        twin = _row((0, 1, 5), (0, 2), (0,))
+        assert first == twin and first is not twin
+        rows = [
+            first,
+            _row((-3, 0, 2), (-3, 4), (0,)),  # a negative exponent
+            twin,
+            _row((0, 4), (), (0,)),  # a zero column
+            _row((1, 2), (2, 3), (0, 3), (0,)),
+        ]
+        ones = 0
+        for s in range(-10, 14):
+            for x in rows:
+                want = self._columns_holding_half(x, s)
+                assert sum_index_matrix(x, s) == ((want,),), (x, s)
+                ones += want
+        # and back again, so every row follows a different one
+        for s in range(-10, 14):
+            for x in reversed(rows):
+                assert sum_index_matrix(x, s) == (
+                    (self._columns_holding_half(x, s),),
+                ), (x, s)
+        assert ones >= 10
+
+    def test_threads_agree_with_a_serial_run(self):
+        def rows(seed: int) -> list[PolyMatrix]:
+            """Rows with palindromic occupancy, half of them broken by one
+            flipped tap, so verdicts and witnesses differ from row to row."""
+            rng = random.Random(seed)
+            out = []
+            for _ in range(100):
+                window = rng.randint(2, 60)
+                columns = [{window}]
+                for _ in range(rng.randint(1, 3)):
+                    taps = set(rng.sample(range(window + 1), rng.randint(1, 3)))
+                    columns.append(taps | {window - t for t in taps})
+                if rng.random() < 0.5:
+                    columns[rng.randrange(len(columns))] ^= {rng.randint(0, window)}
+                columns.append({0})
+                out.append(_row(*(sorted(c) for c in columns)))
+            return out
+
+        def check(batch: list[PolyMatrix]) -> list[tuple]:
+            return [
+                (r.ok, r.counterexample)
+                for r in map(check_reflection_symmetry, batch)
+            ]
+
+        batches = [rows(seed) for seed in range(4)]
+        serial = [check(batch) for batch in batches]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(check, batches))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+        verdicts = [ok for batch in serial for ok, _ in batch]
+        witnesses = {w for batch in serial for _, w in batch}
+        assert 100 <= sum(verdicts) <= 300 and len(witnesses) >= 20
 
 
 class TestReflectionSymmetry:

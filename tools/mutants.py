@@ -375,26 +375,61 @@ MUTANTS = [
         "        return self.support[-1] if self.support else -1\n",
         ("tests/test_gf2poly.py",),
     ),
-    # The A7 check: the one-row kernel and the scan over s.
+    (
+        "from_exponents lets a non-integer's TypeError through",
+        "gf2poly.py",
+        "            if isinstance(seen, Collection):\n",
+        "            if False:\n",
+        ("tests/test_gf2poly.py",),
+    ),
+    (
+        "from_exponents rescans a spent iterator, not its counts",
+        "gf2poly.py",
+        "            seen = exponents if counts is None else counts\n",
+        "            seen = exponents\n",
+        ("tests/test_gf2poly.py",),
+    ),
+    # The A7 check: the one-row kernel, its odd-delay set and the scan over s.
     (
         "A7 kernel halves abs(s)",
         "symplectic.py",
-        "    half = s >> 1\n",
-        "    half = abs(s) >> 1\n",
+        "    return _ONE_1X1 if s >> 1 in _odd_delays(x) else _ZERO_1X1\n",
+        "    return _ONE_1X1 if abs(s) >> 1 in _odd_delays(x) else _ZERO_1X1\n",
         ("tests/test_symplectic.py",),
     ),
     (
         "A7 kernel reads a count as its parity",
         "symplectic.py",
-        "return _ONE_1X1 if count & 1 else _ZERO_1X1",
-        "return _ONE_1X1 if count else _ZERO_1X1",
+        "s >> 1 in _odd_delays(x)",
+        "any(s >> 1 in p.support for p in x.row)",
         ("tests/test_symplectic.py",),
     ),
     (
         "A7 kernel skips the identity column",
         "symplectic.py",
-        "    for p in x.row:\n",
-        "    for p in x.row[:-1]:\n",
+        "s >> 1 in _odd_delays(x)",
+        "(s >> 1 in _odd_delays(x)) != (s == 0)",
+        ("tests/test_symplectic.py",),
+    ),
+    (
+        "odd-delay memo is never refreshed",
+        "symplectic.py",
+        "    if last_x is not x:\n",
+        "    if last_x is None:\n",
+        ("tests/test_symplectic.py",),
+    ),
+    (
+        "odd-delay set is a union",
+        "symplectic.py",
+        "odd.symmetric_difference_update(p.support)",
+        "odd.update(p.support)",
+        ("tests/test_symplectic.py",),
+    ),
+    (
+        "odd-delay set skips the systematic column",
+        "symplectic.py",
+        "        for p in x.row:\n",
+        "        for p in x.row[:-1]:\n",
         ("tests/test_symplectic.py",),
     ),
     (
