@@ -56,8 +56,7 @@ from .distance import (
     exact_search_guard,
 )
 from .dts import (
-    DtsClass, DtsFamily, _check_search_args, as_support, classify, from_one_based,
-    search_strong_dts,
+    DtsClass, DtsFamily, _check_search_args, classify, search_strong_dts,
 )
 from .gf2poly import ONE, Gf2Poly, PolyMatrix, _Record, _setattr
 from .reflect import _check_permutation, build_z, identity_permutation, verify_pair
@@ -132,14 +131,33 @@ def _parse_sets(raw, one_based: bool, key: str) -> tuple[tuple[int, ...], ...]:
             raise ValueError(
                 f'"{key}" set {s} holds {min(s)}; {low}-based elements start at {low}'
             )
-    convert = from_one_based if one_based else as_support
-    return tuple([convert(s) for s in raw])
+    # The checks above leave distinct integers >= low, so subtracting low
+    # and sorting gives a valid support.
+    return tuple([tuple(sorted([e - low for e in s])) for s in raw])
+
+
+def _read_json(path: str):
+    """The JSON value in the file ``path``, decoded from UTF-8 once.
+
+    A text-mode read would also turn each CRLF and lone CR into LF. JSON
+    reads all three as whitespace outside strings and rejects them inside,
+    so that changes no value and no verdict, only the positions an error
+    names. A failing text that holds a CR is parsed again, translated, so
+    its message names the positions it always named.
+    """
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    try:
+        return json.loads(text)
+    except ValueError:
+        if "\r" not in text:
+            raise
+        return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def load_code_input(path: str, one_based_override: bool | None) -> CodeInput:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = _read_json(path)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:

@@ -7,12 +7,16 @@ its exponent support and the constant last entry is the systematic
 it is strong. The row is self-orthogonal (CSOC) exactly when its parity
 supports form a DTS, so :func:`is_csoc` reports the collisions of
 ``dts.repeated_differences``, the one check of that condition.
+
+``parity_supports``, ``memory`` and ``is_csoc`` each compute their fact
+once per row and keep it in ``gf2poly``'s one-entry row memo, so the
+repeated reads of one command on one row are lookups.
 """
 
 from __future__ import annotations
 
 from .dts import DifferenceCollision, DtsFamily, repeated_differences
-from .gf2poly import ONE, Gf2Poly, PolyMatrix, _Record, _setattr
+from .gf2poly import ONE, Gf2Poly, PolyMatrix, _Record, _row_facts, _setattr
 
 
 class CsocReport(_Record):
@@ -43,15 +47,23 @@ def require_systematic(x: PolyMatrix) -> None:
 
 def parity_supports(x: PolyMatrix) -> tuple[tuple[int, ...], ...]:
     """Exponent supports of the n-1 parity entries of a systematic row."""
-    require_systematic(x)
-    return tuple([p.support for p in x.row[:-1]])
+    facts = _row_facts(x)
+    supports = facts.supports
+    if supports is None:
+        require_systematic(x)
+        supports = facts.supports = tuple([p.support for p in x.row[:-1]])
+    return supports
 
 
 def memory(h: PolyMatrix) -> int:
     """Encoder memory of a single parity row: its largest exponent."""
-    top = max((p.support[-1] for p in h.row if p.support), default=None)
+    facts = _row_facts(h)
+    top = facts.memory
     if top is None:
-        raise ValueError("memory of the zero matrix is undefined")
+        top = max((p.support[-1] for p in h.row if p.support), default=None)
+        if top is None:
+            raise ValueError("memory of the zero matrix is undefined")
+        facts.memory = top
     return top
 
 
@@ -62,6 +74,9 @@ def is_csoc(x: PolyMatrix) -> CsocReport:
     repeats within an entry or across two entries. The report lists the
     collisions of :func:`dts.repeated_differences`, in its order.
     """
-    collisions = repeated_differences(parity_supports(x))
-    return CsocReport(ok=not collisions, collisions=collisions)
-
+    facts = _row_facts(x)
+    report = facts.csoc
+    if report is None:
+        collisions = repeated_differences(parity_supports(x))
+        report = facts.csoc = CsocReport(ok=not collisions, collisions=collisions)
+    return report

@@ -40,16 +40,21 @@ free-distance search has no such shortcut: there a weight-1 codeword
 needs a stream whose polynomial is zero.
 
 Every entry point rejects a row with a negative exponent (a Laurent
-term) before any work, since the encoder runs forward from time 0.
+term) before any work, since the encoder runs forward from time 0. The
+supports that pass that check, like the memory and the CSOC verdict, are
+computed once per row and kept in ``gf2poly``'s row memo, so the profile's
+``column_distance`` calls and the certificate read them without
+re-checking the row.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_right
+from itertools import repeat
 
 from .csoc import is_csoc, memory, parity_supports
-from .gf2poly import PolyMatrix, _Record, _setattr
+from .gf2poly import PolyMatrix, _Record, _row_facts, _setattr
 
 MAX_EXACT_BUDGET = 6
 MAX_EXACT_MEMORY = 12
@@ -91,13 +96,17 @@ class DistanceCertificate(_Record):
 
 def _causal_supports(x: PolyMatrix) -> tuple[tuple[int, ...], ...]:
     """Parity supports of a systematic row, none with a negative exponent."""
-    supports = parity_supports(x)
-    for i, sup in enumerate(supports):
-        if sup and sup[0] < 0:
-            raise ValueError(
-                f"stream {i + 1} has negative exponent {sup[0]}; "
-                "distances need exponents >= 0"
-            )
+    facts = _row_facts(x)
+    supports = facts.causal
+    if supports is None:
+        supports = parity_supports(x)
+        for i, sup in enumerate(supports):
+            if sup and sup[0] < 0:
+                raise ValueError(
+                    f"stream {i + 1} has negative exponent {sup[0]}; "
+                    "distances need exponents >= 0"
+                )
+        facts.causal = supports
     return supports
 
 
@@ -217,7 +226,7 @@ def column_distance(h: PolyMatrix, j: int) -> int:
             f"window too large for exact oracle: {(j + 1) * streams} information "
             f"bits exceeds {MAX_WINDOW_BITS}"
         )
-    seed = 1 + min(bisect_right(sup, j) for sup in supports)
+    seed = 1 + min(map(bisect_right, supports, repeat(j)))
     if seed <= 2:
         return seed
     return _lightest(supports, min(memory(h), j), j, seed, window=True)

@@ -17,7 +17,8 @@ the classification hierarchy is:
 
 The canonical internal convention is 0-based exponents (an element t is
 the exponent of D^t). Table-style 1-based sets are converted at the I/O
-boundary with :func:`from_one_based`.
+boundary: the catalogue's with :func:`from_one_based`, an input file's
+by the CLI parser, which subtracts 1 after its own checks.
 
 :func:`repeated_differences` is the one check of the difference
 condition: :func:`classify` reads its WDTS/DTS verdicts from it and

@@ -6,7 +6,9 @@ Negative exponents are allowed (Laurent terms); the zero polynomial has
 empty support and no degree. A generator X(D) or Z(D) is a
 :class:`PolyMatrix`, whose value is its one row of polynomials,
 ``x.row``. All values are immutable and all operations are pure, so
-they are safe to share across threads.
+they are safe to share across threads. The one per-row cache,
+``_row_facts``, keeps what the other modules derive from the last row
+they read, keyed by that row's identity.
 
 The textual form used everywhere (CLI output, golden files) is
 ``1+D+D^3``: terms ascend, exponent 0 prints as ``1``, exponent 1 as
@@ -18,10 +20,14 @@ nothing parses the text back.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Collection, Iterable
+from collections.abc import Iterable
+from contextlib import suppress
 from operator import attrgetter
 
 _setattr = object.__setattr__
+
+# The one exponent type Gf2Poly.from_exponents folds.
+_INT_ONLY = frozenset((int,))
 
 
 class _Record:
@@ -91,23 +97,22 @@ class Gf2Poly(_Record):
     def from_exponents(cls, exponents: Iterable[int]) -> "Gf2Poly":
         """Build a polynomial from exponents, folding duplicates mod 2.
 
-        A non-integer exponent fails to hash or to sort before the
-        constructor can check it. That TypeError is turned into the
-        constructor's ValueError by checking each exponent seen, so integer
-        input pays for no extra pass. A one-shot iterator whose unhashable
-        item is already spent keeps the TypeError.
+        Every exponent must be an ``int`` itself, checked before the fold:
+        folding compares by equality, so ``True`` would cancel a 1, ``2.0``
+        a 2, and a pair of equal strings each other, with no error. The
+        check is one C-level pass, which stops at the first other type.
+        The error names the least offending exponent, or the first when
+        they do not sort.
         """
-        counts = None
-        try:
-            counts = Counter(exponents)
-            odd = sorted(e for e, c in counts.items() if c % 2)
-        except TypeError:
-            seen = exponents if counts is None else counts
-            if isinstance(seen, Collection):
-                for e in seen:
-                    cls((e,))  # the constructor names a non-integer
-            raise
-        return cls(odd)
+        exponents = list(exponents)
+        if not _INT_ONLY.issuperset(map(type, exponents)):
+            # Name the least, as the constructor would on a sorted support.
+            bad = [e for e in exponents if type(e) is not int]
+            with suppress(TypeError):
+                bad.sort()
+            raise ValueError(f"exponent {bad[0]!r} is not an integer")
+        counts = Counter(exponents)
+        return cls(sorted([e for e, c in counts.items() if c % 2]))
 
     @property
     def degree(self) -> int:
@@ -202,3 +207,40 @@ class PolyMatrix(_Record):
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(p) for p in self.row) + ")"
+
+
+class _RowFacts:
+    """What the library has derived from one row and checked: the parity
+    supports (``csoc.parity_supports``), the same supports once none holds a
+    negative exponent (``distance._causal_supports``), the memory, the
+    ``CsocReport`` and the odd-occupancy delays (``symplectic._odd_delays``).
+    Each is None until its reader first computes it, and is stored only
+    once every check on the way has passed.
+    """
+
+    __slots__ = ("supports", "causal", "memory", "csoc", "odd")
+
+    def __init__(self) -> None:
+        self.supports = self.causal = self.memory = self.csoc = self.odd = None
+
+
+# The last row read through _row_facts and its facts, kept as one tuple so
+# that a concurrent reader always unpacks a matching pair.
+_last_row: tuple[PolyMatrix | None, _RowFacts] = (None, _RowFacts())
+
+
+def _row_facts(x: PolyMatrix) -> _RowFacts:
+    """The facts of row ``x``: the memo's when ``x`` is the last row read,
+    else a fresh, empty set that replaces it.
+
+    The one per-row memo. It is keyed by identity, never by value, and it
+    holds the row it describes, so that identity cannot pass to another row
+    while the entry lives. A row that fails a check has no fact stored for
+    it, so it raises on every call.
+    """
+    global _last_row
+    last, facts = _last_row
+    if last is not x:
+        facts = _RowFacts()
+        _last_row = (x, facts)
+    return facts

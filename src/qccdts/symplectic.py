@@ -13,10 +13,11 @@ pairs with t != u come in twos and cancel mod 2. That leaves
 C_s = #{k : s even and s/2 in L_k} mod 2: 1 exactly when s is even and
 s/2 is an odd-occupancy delay, one held by an odd number of columns.
 ``_odd_delays`` builds that set once per row, as the XOR of the
-supports, and keeps the last row's set in a one-entry memo keyed by
-object identity. An odd s returns a shared ((0,),) at once, and an even
-s is one set lookup that returns a shared ((1,),) or ((0,),), so the
-2M + 1 calls of one check read the row's supports once.
+supports, and keeps it with the row's other facts in ``gf2poly``'s
+one-entry row memo, keyed by object identity. An odd s returns a shared
+((0,),) at once, and an even s reads the memo's entry, with no call when
+x is its row, and makes one set lookup that returns a shared ((1,),) or
+((0,),), so the 2M + 1 calls of one check read the row's supports once.
 
 ``check_reflection_symmetry`` tests the identity C_s = C_{2M-s}^T on
 [0, 2M], which for one row is C_s = C_{2M-s}: the per-delay
@@ -38,7 +39,8 @@ commutation check, with no further content.
 
 from __future__ import annotations
 
-from .gf2poly import Gf2Poly, PolyMatrix, _Record, _setattr
+from . import gf2poly
+from .gf2poly import Gf2Poly, PolyMatrix, _Record, _row_facts, _setattr
 
 
 class SymplecticReport(_Record):
@@ -69,13 +71,13 @@ def symplectic_sum(x: PolyMatrix, z: PolyMatrix) -> PolyMatrix:
         raise ValueError(f"column counts differ: {x.ncols} vs {z.ncols}")
     x_row, z_row = x.row, z.row
     return PolyMatrix((
-        Gf2Poly.from_exponents(
+        Gf2Poly.from_exponents([
             t - u
             for left, right in ((x_row, z_row), (z_row, x_row))
             for p, q in zip(left, right)
             for t in p.support
             for u in q.support
-        ),
+        ]),
     ))
 
 
@@ -89,26 +91,20 @@ def is_commuting(x: PolyMatrix, z: PolyMatrix) -> SymplecticReport:
 _ZERO_1X1 = ((0,),)
 _ONE_1X1 = ((1,),)
 
-# The last row seen by _odd_delays and its set, kept as one tuple so that
-# a concurrent reader always unpacks a matching pair.
-_last_odd: tuple[PolyMatrix | None, frozenset[int]] = (None, frozenset())
-
 
 def _odd_delays(x: PolyMatrix) -> frozenset[int]:
     """The delays held by an odd number of x's columns: the XOR of the supports.
 
-    The systematic column counts like any other. The last row's set is
-    kept, keyed by identity, so the 2M + 1 kernel calls of one A7 check
-    build it once; the memo holds that row, so its identity stays unique.
+    The systematic column counts like any other. The set is kept in the
+    row memo, so the 2M + 1 kernel calls of one A7 check build it once.
     """
-    global _last_odd
-    last_x, delays = _last_odd
-    if last_x is not x:
+    facts = _row_facts(x)
+    delays = facts.odd
+    if delays is None:
         odd: set[int] = set()
         for p in x.row:
             odd.symmetric_difference_update(p.support)
-        delays = frozenset(odd)
-        _last_odd = (x, delays)
+        delays = facts.odd = frozenset(odd)
     return delays
 
 
@@ -126,7 +122,13 @@ def sum_index_matrix(x: PolyMatrix, s: int) -> tuple[tuple[int, ...], ...]:
     """
     if s & 1:
         return _ZERO_1X1
-    return _ONE_1X1 if s >> 1 in _odd_delays(x) else _ZERO_1X1
+    # The memo's set when x is its row, read here and not through a call:
+    # a call per even s made the A7 check about 10% slower at M = 4,000.
+    last, facts = gf2poly._last_row
+    delays = facts.odd if last is x else None
+    if delays is None:
+        delays = _odd_delays(x)
+    return _ONE_1X1 if s >> 1 in delays else _ZERO_1X1
 
 
 class ReflectionSymmetryReport(_Record):

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qccdts import cli, reflect
+from qccdts import cli, dts, reflect
+from qccdts import csoc as csoc_module
 from qccdts.cli import main
-from qccdts.dts import DtsClass, DtsFamily, search_strong_dts
+from qccdts.dts import DtsClass, DtsFamily, repeated_differences, search_strong_dts
 
 # `qccdts distance --json` on the 14 catalogue rows and on three colliding
 # (not self-orthogonal) rows under --budget 4, 5 and 6, recorded before the
@@ -146,6 +147,45 @@ class TestBuild:
         assert err.startswith(f"error: malformed JSON in {path}: 'utf-8' codec")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (
+                b'{"T": [[1, 2], [1, 3]],\r\n "n": 3,\r\n "m": }\r\n',
+                "Expecting value: line 3 column 7 (char 39)",
+            ),
+            (b'{"T": [[1, 2]],\r "n": \r}', "Expecting value: line 3 column 1 (char 23)"),
+            (
+                b'{"T": [[1, 2]],\r\n "x": "a\r\nb"}',
+                "Invalid control character at: line 2 column 9 (char 24)",
+            ),
+            (
+                b'\xef\xbb\xbf{"T": [[1, 2], [1, 3]]}',
+                "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+            ),
+            (
+                b'{"T": [[1, 2]], "pad": "' + b"a" * 20_000 + b'\xff"}',
+                "'utf-8' codec can't decode byte 0xff in position 20024: invalid start byte",
+            ),
+        ],
+        ids=["crlf", "lone cr", "crlf in a string", "utf-8 bom", "non-utf-8 past 8 KiB"],
+    )
+    def test_malformed_json_message_is_pinned(self, capsys, tmp_path, data, message):
+        """The file is read as bytes and decoded once, yet each message
+        names the positions a text-mode read gave, CRs translated."""
+        path = tmp_path / "input.json"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "verify", "--input", str(path))
+        assert (code, out, err) == (2, "", f"error: malformed JSON in {path}: {message}\n")
+
+    def test_crlf_json_reads_like_lf(self, capsys, tmp_path):
+        outputs = []
+        for newline in (b"\n", b"\r\n", b"\r"):
+            path = tmp_path / "input.json"
+            path.write_bytes(newline.join([b'{"T": [[1, 2], [1, 3]],', b' "n": 3}', b""]))
+            outputs.append(run_cli(capsys, "build", "--input", str(path), "--json"))
+        assert outputs[0][0] == 0 and outputs[0] == outputs[1] == outputs[2]
+
     def test_non_strong_family_warns_but_exits_zero(self, capsys, tmp_path):
         path = tmp_path / "weak.json"
         path.write_text(json.dumps({"T": [[0, 1], [0, 1]], "one_based": False}))
@@ -263,6 +303,22 @@ class TestVerify:
         report = json.loads(out)
         assert report["commuting"] is True
         assert report["d_free"] == 3
+
+    @pytest.mark.parametrize("one_based", [True, False], ids=["one-based", "zero-based"])
+    def test_sets_in_any_order(self, capsys, tmp_path, one_based):
+        """A set is a set: T and Z written in descending order verify like
+        the ascending ones, in both conventions."""
+        low = int(one_based)
+        outputs = []
+        for order in (sorted, lambda s: sorted(s, reverse=True)):
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps({
+                "T": [order([e + low for e in s]) for s in ([0, 1], [0, 2])],
+                "Z": [order([e + low for e in s]) for s in ([0, 2], [1, 2])],
+                "one_based": one_based,
+            }))
+            outputs.append(run_cli(capsys, "verify", "--input", str(path), "--json"))
+        assert outputs[0][0] == 0 and outputs[0] == outputs[1]
 
     def test_bad_pi_exit_2(self, capsys, tmp_path):
         path = tmp_path / "badpi.json"
@@ -594,6 +650,34 @@ class TestDistance:
         path.write_text(json.dumps({"T": sets, "one_based": False}))
         code, out, err = run_cli(capsys, "distance", "--input", str(path), *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "sets, csoc",
+        [([[0, 1], [0, 2]], True), ([[0, 1, 2], [0, 3, 5]], False)],
+        ids=["csoc", "colliding"],
+    )
+    def test_one_difference_pass_on_x(self, capsys, monkeypatch, tmp_path, sets, csoc):
+        """``classify`` checks the family's differences once and ``is_csoc``
+        checks X's once: the CSOC verdict that the command and
+        ``certify_dfree`` both read is computed once per row. A repeated
+        command builds an equal row, and checks it again: the row memo is
+        keyed by identity, not by value."""
+        calls = []
+
+        def counting(supports):
+            supports = [tuple(s) for s in supports]
+            calls.append(supports)
+            return repeated_differences(supports)
+
+        monkeypatch.setattr(dts, "repeated_differences", counting)
+        monkeypatch.setattr(csoc_module, "repeated_differences", counting)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"T": sets, "one_based": False}))
+        for _ in range(2):
+            code, out, err = run_cli(capsys, "distance", "--input", str(path), "--json")
+            assert (code, err) == (0, "")
+            assert (json.loads(out)["method"] == "csoc_certificate") is csoc
+        assert calls == [[tuple(s) for s in sets]] * 4
 
     @pytest.mark.parametrize("far", [10**7, 10**9], ids=["1e7", "1e9"])
     def test_far_tap_prints_what_a_near_one_does(self, capsys, tmp_path, far):

@@ -68,6 +68,24 @@ class TestPolyBasics:
         with pytest.raises(ValueError, match=f"^exponent {bad} is not an integer$"):
             build()
 
+    @pytest.mark.parametrize(
+        "build, bad",
+        [
+            (lambda: Gf2Poly.from_exponents([1, True]), "True"),
+            (lambda: Gf2Poly.from_exponents([0, "a", "a"]), "'a'"),
+            (lambda: Gf2Poly.from_exponents([2, 2.0, 3]), r"2\.0"),
+            (lambda: PolyMatrix.from_supports([[1, True], [0]]), "True"),
+        ],
+        ids=["bool equal to an integer", "str pair", "float equal to an integer",
+             "from_supports bool"],
+    )
+    def test_from_exponents_checks_before_folding(self, build, bad):
+        """Folding compares by equality, so a non-integer equal to an
+        integer, or to another non-integer, would cancel unseen; it is
+        rejected before the fold."""
+        with pytest.raises(ValueError, match=f"^exponent {bad} is not an integer$"):
+            build()
+
     def test_support_is_stored_as_a_tuple(self):
         """A list or a generator of exponents gives the same hashable value
         as the tuple."""

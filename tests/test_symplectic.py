@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from qccdts import (
     verify_pair,
 )
 from qccdts import symplectic
+from qccdts.distance import _causal_supports, column_distance
 from qccdts.tables import TABLE_ROWS
 
 from dense_arrays import coefficient_matrix
@@ -185,10 +186,11 @@ class TestSumIndexMatrix:
 
 
 class TestOddDelayMemo:
-    """``sum_index_matrix`` reads each row's odd-occupancy delays from a
-    one-entry memo keyed by identity: switching rows on every call, or
-    checking rows from several threads, must not leak one row's set into
-    another's answers."""
+    """Every fact of a row, its odd-occupancy delays among them, is read
+    from one memo keyed by identity (``gf2poly._row_facts``): switching
+    rows on every call, or checking rows from several threads, must not
+    leak one row's facts into another's answers, and a row that fails a
+    check must fail it on every call."""
 
     @staticmethod
     def _columns_holding_half(x: PolyMatrix, s: int) -> int:
@@ -196,6 +198,61 @@ class TestOddDelayMemo:
         if s % 2:
             return 0
         return sum(s // 2 in p.support for p in x.row) % 2
+
+    @staticmethod
+    def _facts(x: PolyMatrix) -> tuple:
+        """Every memoized fact of x through its public or private reader,
+        with the ValueError message in place of a fact that fails."""
+
+        def read(fact):
+            try:
+                return fact(x)
+            except ValueError as exc:
+                return str(exc)
+
+        return tuple(map(read, (
+            parity_supports, memory, is_csoc, _causal_supports,
+            symplectic._odd_delays,
+        )))
+
+    @staticmethod
+    def _direct_facts(x: PolyMatrix) -> tuple:
+        """The same facts counted from the row alone, with the readers'
+        messages for the rows that fail."""
+        columns = [p.support for p in x.row]
+        if columns[-1] != (0,) or len(columns) < 2:
+            supports = csoc = causal = (
+                "expected a systematic 1 x n row with constant 1 in the last entry"
+            )
+        else:
+            supports = tuple(columns[:-1])
+            differences = [
+                b - a for sup in supports for a, b in combinations(sup, 2)
+            ]
+            csoc = len(set(differences)) == len(differences)
+            negative = [
+                (i, sup[0]) for i, sup in enumerate(supports, 1) if sup and sup[0] < 0
+            ]
+            causal = supports if not negative else (
+                f"stream {negative[0][0]} has negative exponent {negative[0][1]}; "
+                "distances need exponents >= 0"
+            )
+        top = max((sup[-1] for sup in columns if sup), default=None)
+        odd = frozenset(
+            e for e in {e for sup in columns for e in sup}
+            if sum(e in sup for sup in columns) % 2
+        )
+        return supports, top, csoc, causal, odd
+
+    def _assert_facts(self, x: PolyMatrix) -> None:
+        supports, top, report, causal, odd = self._facts(x)
+        want = self._direct_facts(x)
+        assert (supports, top, causal, odd) == (want[0], want[1], want[3], want[4]), x
+        if isinstance(want[2], str):
+            assert report == want[2], x
+        else:
+            # a repeated difference is exactly a collision
+            assert report.ok is want[2] and bool(report.collisions) is not want[2], x
 
     def test_alternating_rows_match_a_direct_count(self):
         first = _row((0, 1, 5), (0, 2), (0,))
@@ -207,6 +264,8 @@ class TestOddDelayMemo:
             twin,
             _row((0, 4), (), (0,)),  # a zero column
             _row((1, 2), (2, 3), (0, 3), (0,)),
+            _row((0, 1, 3), (0, 2)),  # not systematic
+            _row((0, 1, 3), (0, 4, 9), (0,)),  # self-orthogonal
         ]
         ones = 0
         for s in range(-10, 14):
@@ -214,13 +273,43 @@ class TestOddDelayMemo:
                 want = self._columns_holding_half(x, s)
                 assert sum_index_matrix(x, s) == ((want,),), (x, s)
                 ones += want
+                self._assert_facts(x)
         # and back again, so every row follows a different one
         for s in range(-10, 14):
             for x in reversed(rows):
                 assert sum_index_matrix(x, s) == (
                     (self._columns_holding_half(x, s),),
                 ), (x, s)
+                self._assert_facts(x)
         assert ones >= 10
+        verdicts = {self._direct_facts(x)[2] for x in rows}
+        assert verdicts == {
+            True, False,
+            "expected a systematic 1 x n row with constant 1 in the last entry",
+        }
+
+    def test_a_failed_check_raises_on_every_call(self):
+        """Nothing is stored for a row that fails a check: the same row,
+        asked again straight away or after another row, raises again, even
+        after another of its facts was stored."""
+        loose = _row((0, 1, 3), (0, 2))
+        laurent = _row((-1, 2), (0, 4), (0,))
+        other = _row((0, 1), (0, 2), (0,))
+        systematic = "^expected a systematic 1 x n row"
+        for _ in range(3):
+            for read in (parity_supports, is_csoc, _causal_supports):
+                for _ in range(2):
+                    with pytest.raises(ValueError, match=systematic):
+                        read(loose)
+            assert memory(loose) == 3
+            with pytest.raises(ValueError, match=systematic):
+                column_distance(loose, 2)
+            assert is_csoc(laurent).ok
+            for _ in range(2):
+                with pytest.raises(ValueError, match="^stream 1 has negative exponent -1"):
+                    column_distance(laurent, 2)
+            assert memory(laurent) == 4 and parity_supports(laurent) == ((-1, 2), (0, 4))
+            assert column_distance(other, 2) == 3
 
     def test_threads_agree_with_a_serial_run(self):
         def rows(seed: int) -> list[PolyMatrix]:
@@ -242,8 +331,8 @@ class TestOddDelayMemo:
 
         def check(batch: list[PolyMatrix]) -> list[tuple]:
             return [
-                (r.ok, r.counterexample)
-                for r in map(check_reflection_symmetry, batch)
+                (r.ok, r.counterexample, *self._facts(x))
+                for x, r in zip(batch, map(check_reflection_symmetry, batch))
             ]
 
         batches = [rows(seed) for seed in range(4)]
@@ -256,9 +345,15 @@ class TestOddDelayMemo:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
-        verdicts = [ok for batch in serial for ok, _ in batch]
-        witnesses = {w for batch in serial for _, w in batch}
+        for batch, results in zip(batches, serial):
+            for x, result in zip(batch, results):
+                self._assert_facts(x)
+                assert result[2:] == self._facts(x)
+        verdicts = [ok for batch in serial for ok, *_ in batch]
+        witnesses = {w for batch in serial for _, w, *_ in batch}
+        csoc = {report.ok for batch in serial for *_, report, _, _ in batch}
         assert 100 <= sum(verdicts) <= 300 and len(witnesses) >= 20
+        assert csoc == {True, False}
 
 
 class TestReflectionSymmetry:

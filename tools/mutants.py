@@ -147,6 +147,27 @@ MUTANTS = [
         "except ValueError as exc:",
         ("tests/test_cli.py",),
     ),
+    (
+        "malformed CRLF JSON names raw positions",
+        "cli.py",
+        '        return json.loads(text.replace("\\r\\n", "\\n").replace("\\r", "\\n"))\n',
+        "        raise\n",
+        ("tests/test_cli.py",),
+    ),
+    (
+        "CRLF translated as two newlines",
+        "cli.py",
+        'text.replace("\\r\\n", "\\n").replace("\\r", "\\n")',
+        'text.replace("\\r", "\\n")',
+        ("tests/test_cli.py",),
+    ),
+    (
+        "parsed sets left in input order",
+        "cli.py",
+        "tuple(sorted([e - low for e in s]))",
+        "tuple([e - low for e in s])",
+        ("tests/test_cli.py",),
+    ),
     # The search line renderer, cli._search_lines.
     (
         "search head compared by identity",
@@ -258,8 +279,15 @@ MUTANTS = [
     (
         "column seed counts t < j",
         "distance.py",
-        "bisect_right(sup, j)",
-        "bisect_right(sup, j - 1)",
+        "map(bisect_right, supports, repeat(j))",
+        "map(bisect_right, supports, repeat(j - 1))",
+        ("tests/test_distance.py",),
+    ),
+    (
+        "column seed taken with bisect_left",
+        "distance.py",
+        ("from bisect import bisect_right\n", "map(bisect_right, supports, repeat(j))"),
+        ("from bisect import bisect_left, bisect_right\n", "map(bisect_left, supports, repeat(j))"),
         ("tests/test_distance.py",),
     ),
     (
@@ -376,46 +404,95 @@ MUTANTS = [
         ("tests/test_gf2poly.py",),
     ),
     (
-        "from_exponents lets a non-integer's TypeError through",
+        "from_exponents checks types after the fold",
         "gf2poly.py",
-        "            if isinstance(seen, Collection):\n",
-        "            if False:\n",
+        "_INT_ONLY.issuperset(map(type, exponents))",
+        "_INT_ONLY.issuperset(map(type, Counter(exponents)))",
         ("tests/test_gf2poly.py",),
     ),
     (
-        "from_exponents rescans a spent iterator, not its counts",
+        "from_exponents accepts an int subclass",
         "gf2poly.py",
-        "            seen = exponents if counts is None else counts\n",
-        "            seen = exponents\n",
+        "_INT_ONLY.issuperset(map(type, exponents))",
+        "all(isinstance(e, int) for e in exponents)",
         ("tests/test_gf2poly.py",),
+    ),
+    # The one per-row memo, gf2poly._row_facts, and the facts its readers keep.
+    (
+        "row facts not refreshed on a new row",
+        "gf2poly.py",
+        "    if last is not x:\n",
+        "    if last is None:\n",
+        ("tests/test_symplectic.py",),
+    ),
+    (
+        "row memo keyed by value (==), not identity",
+        "gf2poly.py",
+        "    if last is not x:\n",
+        "    if last != x:\n",
+        ("tests/test_symplectic.py", "tests/test_cli.py"),
+    ),
+    (
+        "last row's memory served for the next row",
+        "gf2poly.py",
+        "        facts = _RowFacts()\n",
+        "        top, facts = facts.memory, _RowFacts()\n"
+        "        facts.memory = top\n",
+        ("tests/test_symplectic.py",),
+    ),
+    (
+        "CSOC verdict cached before require_systematic passes",
+        "csoc.py",
+        "        collisions = repeated_differences(parity_supports(x))\n"
+        "        report = facts.csoc = CsocReport(ok=not collisions, collisions=collisions)\n",
+        "        collisions = repeated_differences([p.support for p in x.row[:-1]])\n"
+        "        report = facts.csoc = CsocReport(ok=not collisions, collisions=collisions)\n"
+        "        parity_supports(x)\n",
+        ("tests/test_symplectic.py",),
+    ),
+    (
+        "parity supports cached before require_systematic passes",
+        "csoc.py",
+        "        require_systematic(x)\n"
+        "        supports = facts.supports = tuple([p.support for p in x.row[:-1]])\n",
+        "        supports = facts.supports = tuple([p.support for p in x.row[:-1]])\n"
+        "        require_systematic(x)\n",
+        ("tests/test_symplectic.py",),
+    ),
+    (
+        "causal supports cached before the negative-exponent check",
+        "distance.py",
+        "        supports = parity_supports(x)\n",
+        "        supports = facts.causal = parity_supports(x)\n",
+        ("tests/test_symplectic.py",),
     ),
     # The A7 check: the one-row kernel, its odd-delay set and the scan over s.
     (
         "A7 kernel halves abs(s)",
         "symplectic.py",
-        "    return _ONE_1X1 if s >> 1 in _odd_delays(x) else _ZERO_1X1\n",
-        "    return _ONE_1X1 if abs(s) >> 1 in _odd_delays(x) else _ZERO_1X1\n",
+        "    return _ONE_1X1 if s >> 1 in delays else _ZERO_1X1\n",
+        "    return _ONE_1X1 if abs(s) >> 1 in delays else _ZERO_1X1\n",
         ("tests/test_symplectic.py",),
     ),
     (
         "A7 kernel reads a count as its parity",
         "symplectic.py",
-        "s >> 1 in _odd_delays(x)",
+        "s >> 1 in delays",
         "any(s >> 1 in p.support for p in x.row)",
         ("tests/test_symplectic.py",),
     ),
     (
         "A7 kernel skips the identity column",
         "symplectic.py",
-        "s >> 1 in _odd_delays(x)",
-        "(s >> 1 in _odd_delays(x)) != (s == 0)",
+        "s >> 1 in delays",
+        "(s >> 1 in delays) != (s == 0)",
         ("tests/test_symplectic.py",),
     ),
     (
-        "odd-delay memo is never refreshed",
+        "A7 kernel reads the memo's set for any row",
         "symplectic.py",
-        "    if last_x is not x:\n",
-        "    if last_x is None:\n",
+        "    delays = facts.odd if last is x else None\n",
+        "    delays = facts.odd\n",
         ("tests/test_symplectic.py",),
     ),
     (
