@@ -21,9 +21,11 @@ boundary: the catalogue's with :func:`from_one_based`, an input file's
 by the CLI parser, which subtracts 1 after its own checks.
 
 :func:`repeated_differences` is the one check of the difference
-condition: :func:`classify` reads its WDTS/DTS verdicts from it and
-``csoc.is_csoc`` reports its collisions, since a systematic row is
-self-orthogonal exactly when its parity supports form a DTS.
+condition: ``csoc.is_csoc`` reports its collisions, since a systematic
+row is self-orthogonal exactly when its parity supports form a DTS, and
+``_below_dts`` reads the NOT_WDTS and WDTS verdicts from them, for
+:func:`classify` and for ``reflect.verify_pair``, which so takes X's
+strength from X's CSOC check.
 
 :func:`search_strong_dts` enumerates strong families with ``int``
 difference masks, one generator over an explicit stack of frames, and a
@@ -171,12 +173,11 @@ _set_classification = DtsFamily.classification.__set__
 _set_budget = DtsFamily.budget.__set__
 
 
-def classify(sets: Iterable[Iterable[int]], budget: int | None = None) -> DtsFamily:
-    """Classify a family, recomputing the verdict from scratch.
+def _members(sets: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """The sets of a family, each checked by :func:`as_support`, of one weight.
 
-    An explicit ``budget`` caps the admissible differences at {1..budget};
-    by default the budget is the maximum difference observed. Weight-1
-    sets have no differences and classify as WDTS vacuously.
+    The input check of :func:`classify`; ``reflect.verify_pair`` runs it on
+    X's parity supports, whose verdict it then reads from X's collisions.
     """
     members = tuple(as_support(s) for s in sets)
     if not members:
@@ -184,13 +185,41 @@ def classify(sets: Iterable[Iterable[int]], budget: int | None = None) -> DtsFam
     w = len(members[0])
     if any(len(s) != w for s in members):
         raise ValueError("all sets in a family must share one cardinality")
+    return members
 
-    collisions = repeated_differences(members)
+
+def _below_dts(
+    members: tuple[tuple[int, ...], ...], collisions: Sequence[DifferenceCollision]
+) -> DtsClass | None:
+    """The verdict of a family that is no DTS with differences, else None.
+
+    ``collisions`` are the family's :func:`repeated_differences`. NOT_WDTS
+    when one of them names a single entry, WDTS when the others collide
+    or the sets have weight 1 (no differences at all). None means a DTS
+    of weight >= 2, which is at least STRONG under any budget from its
+    largest difference up, so with no budget a family is STRONG (or
+    FULL_STRONG) exactly then.
+    """
     if any(len(c.entries) == 1 for c in collisions):
-        return DtsFamily(members, DtsClass.NOT_WDTS, None)
-    if w == 1 or collisions:
-        return DtsFamily(members, DtsClass.WDTS, None)
+        return DtsClass.NOT_WDTS
+    if len(members[0]) == 1 or collisions:
+        return DtsClass.WDTS
+    return None
 
+
+def classify(sets: Iterable[Iterable[int]], budget: int | None = None) -> DtsFamily:
+    """Classify a family, recomputing the verdict from scratch.
+
+    An explicit ``budget`` caps the admissible differences at {1..budget};
+    by default the budget is the maximum difference observed. Weight-1
+    sets have no differences and classify as WDTS vacuously.
+    """
+    members = _members(sets)
+    below = _below_dts(members, repeated_differences(members))
+    if below is not None:
+        return DtsFamily(members, below, None)
+
+    w = len(members[0])
     observed = max(s[-1] - s[0] for s in members)
     m = observed if budget is None else budget
     if m < observed:

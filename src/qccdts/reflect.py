@@ -14,9 +14,15 @@ invariant) satisfies this; an arbitrary pi does not. ``build_z`` accepts
 any permutation and leaves the judgement to the commutation check.
 
 ``verify_pair`` is the one verification pipeline: it runs every check on
-a pair (strong_dts and csoc through the one difference check,
-``dts.repeated_differences``) and returns the verdicts, violations and
-distance certificate that the ``verify`` and ``tables`` commands render.
+a pair and returns the verdicts, violations and distance certificate
+that the ``verify`` and ``tables`` commands render. It reads each row
+once, every fact of X before any of Z's: X's parity supports, its CSOC
+verdict (one pass of ``dts.repeated_differences``, whose collisions
+also give the strong_dts verdict), its memory, the A7 check and, on a
+CSOC row, the distance certificate; then Z's CSOC verdict and memory,
+then the commutation check. ``gf2poly``'s row memo holds one row, so in
+this order no fact of X is computed twice. The violations are listed in
+the order of the checks, whatever order computed them.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from collections.abc import Sequence
 
 from .csoc import is_csoc, memory, parity_supports, require_systematic
 from .distance import DistanceCertificate, certify_dfree
-from .dts import DtsClass, classify
+from .dts import _below_dts, _members
 from .gf2poly import ONE, PolyMatrix, _Record, _setattr
 from .symplectic import check_reflection_symmetry, is_commuting
 
@@ -99,20 +105,24 @@ def verify_pair(
     commute, X must satisfy the A7 sum-index identity, and when X is CSOC
     its certified free distance must be ``expect_w + 1`` when given.
     """
+    # Every fact of X before any of Z's: the row memo holds one row, so
+    # X's supports and CSOC verdict are still there when certify_dfree
+    # reads them, and each row's differences are checked once.
+    members = _members(parity_supports(x))
+    csoc_x = is_csoc(x)
+    below = _below_dts(members, csoc_x.collisions)
+    mu_x = memory(x)
+    sym = check_reflection_symmetry(x)
+    cert = certify_dfree(x) if csoc_x.ok else None
+    csoc_z, mu_z = is_csoc(z), memory(z)
+    comm = is_commuting(x, z)
+
     violations: list[tuple[str, str]] = []
-
-    family = classify(list(parity_supports(x)))
-    strong = family.classification >= DtsClass.STRONG
-    if not strong:
-        violations.append(
-            ("strong_dts", f"X family classifies as {family.classification}")
-        )
-
-    csoc_x, csoc_z = is_csoc(x), is_csoc(z)
+    if below is not None:
+        violations.append(("strong_dts", f"X family classifies as {below}"))
     for name, rep in (("csoc_x", csoc_x), ("csoc_z", csoc_z)):
         violations.extend((name, str(coll)) for coll in rep.collisions)
 
-    mu_x, mu_z = memory(x), memory(z)
     if mu_x != mu_z:
         violations.append(("memory", f"memory differs: X={mu_x}, Z={mu_z}"))
     declared_m = expect_m is None or mu_x == expect_m
@@ -121,27 +131,24 @@ def verify_pair(
             ("memory", f"memory {mu_x} does not match declared m={expect_m}")
         )
 
-    comm = is_commuting(x, z)
     violations.extend(
         ("commutation", f"coefficient of D^{s} at entry ({i},{j}) is 1")
         for s, i, j in comm.violations
     )
 
-    sym = check_reflection_symmetry(x)
     if not sym.ok:
         s, a, b = sym.counterexample
         violations.append(
             ("a7_symmetry", f"C_{s}[{a},{b}] differs from C_{2 * mu_x - s}[{b},{a}]")
         )
 
-    cert = certify_dfree(x) if csoc_x.ok else None
     dfree = cert is not None and (expect_w is None or cert.d_free == expect_w + 1)
     if cert is not None and not dfree:
         violations.append(("dfree", f"d_free {cert.d_free} does not match declared w+1"))
 
     return VerifyReport(
         checks={
-            "strong_dts": strong,
+            "strong_dts": below is None,
             "csoc_x": csoc_x.ok,
             "csoc_z": csoc_z.ok,
             "memory": mu_x == mu_z and declared_m,

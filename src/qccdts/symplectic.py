@@ -3,7 +3,10 @@
 The symplectic sum of X and Z is X(D) Z(D^-1)^T + Z(D) X(D^-1)^T; the
 pair commutes iff every Laurent coefficient matrix of the sum vanishes.
 X and Z are single rows, read as ``x.row``, so the sum has one entry, a
-Laurent polynomial.
+Laurent polynomial. Its second term is the first with D replaced by
+D^-1, so with P(D) = sum_k x_k(D) z_k(D^-1) the entry is P + P(D^-1):
+``symplectic_sum`` folds P once and XORs its odd exponents with their
+negatives.
 The sum-index matrices C_s count tap pairs (t, u) with t + u = s within
 each column of X, summed over columns; they are the coefficient
 bookkeeping behind the commutation condition for reflected pairs.
@@ -63,22 +66,22 @@ class SymplecticReport(_Record):
 def symplectic_sum(x: PolyMatrix, z: PolyMatrix) -> PolyMatrix:
     """X(D) Z(D^-1)^T + Z(D) X(D^-1)^T as a 1 x 1 Laurent polynomial matrix.
 
-    The one entry is built in one pass: the differences t - u over the
-    tap pairs of (x, z), then of (z, x), column by column, folded mod 2.
-    Differing column counts are rejected.
+    For one row the second term is the first with D replaced by D^-1, as
+    a 1 x 1 matrix is its own transpose. So the entry is P + P(D^-1), with
+    P = sum_k x_k(D) z_k(D^-1) folded once, column by column, into the set
+    of differences t - u that occur an odd number of times; the entry's
+    support is that set XOR its mirror {-e}. Differing column counts are
+    rejected.
     """
     if x.ncols != z.ncols:
         raise ValueError(f"column counts differ: {x.ncols} vs {z.ncols}")
-    x_row, z_row = x.row, z.row
-    return PolyMatrix((
-        Gf2Poly.from_exponents([
-            t - u
-            for left, right in ((x_row, z_row), (z_row, x_row))
-            for p, q in zip(left, right)
-            for t in p.support
-            for u in q.support
-        ]),
-    ))
+    odd: set[int] = set()
+    for p, q in zip(x.row, z.row):
+        right = q.support
+        for t in p.support:
+            odd ^= {t - u for u in right}
+    odd ^= {-e for e in odd}
+    return PolyMatrix((Gf2Poly(sorted(odd)),))
 
 
 def is_commuting(x: PolyMatrix, z: PolyMatrix) -> SymplecticReport:

@@ -18,7 +18,10 @@ from hypothesis import strategies as st
 from qccdts import cli, dts, reflect
 from qccdts import csoc as csoc_module
 from qccdts.cli import main
+from qccdts.csoc import parity_supports
 from qccdts.dts import DtsClass, DtsFamily, repeated_differences, search_strong_dts
+from qccdts.gf2poly import PolyMatrix
+from qccdts.reflect import build_z
 
 # `qccdts distance --json` on the 14 catalogue rows and on three colliding
 # (not self-orthogonal) rows under --budget 4, 5 and 6, recorded before the
@@ -576,6 +579,21 @@ class TestInternalErrors:
         assert err == "internal error: table 1 row 1: stored m=2 does not match\n"
 
 
+def _count_difference_passes(monkeypatch) -> list[list[tuple[int, ...]]]:
+    """The supports of every ``repeated_differences`` call from now on,
+    through both bindings: ``dts`` (``classify``) and ``csoc`` (``is_csoc``)."""
+    calls = []
+
+    def counting(supports):
+        supports = [tuple(s) for s in supports]
+        calls.append(supports)
+        return repeated_differences(supports)
+
+    monkeypatch.setattr(dts, "repeated_differences", counting)
+    monkeypatch.setattr(csoc_module, "repeated_differences", counting)
+    return calls
+
+
 class TestDistance:
     def test_running_example(self, capsys, example_input):
         code, out, _ = run_cli(capsys, "distance", "--input", example_input)
@@ -662,15 +680,7 @@ class TestDistance:
         ``certify_dfree`` both read is computed once per row. A repeated
         command builds an equal row, and checks it again: the row memo is
         keyed by identity, not by value."""
-        calls = []
-
-        def counting(supports):
-            supports = [tuple(s) for s in supports]
-            calls.append(supports)
-            return repeated_differences(supports)
-
-        monkeypatch.setattr(dts, "repeated_differences", counting)
-        monkeypatch.setattr(csoc_module, "repeated_differences", counting)
+        calls = _count_difference_passes(monkeypatch)
         path = tmp_path / "input.json"
         path.write_text(json.dumps({"T": sets, "one_based": False}))
         for _ in range(2):
@@ -701,6 +711,61 @@ class TestDistance:
         code, out, err = run_cli(capsys, *case["argv"], "--input", str(path))
         assert (code, err) == (case["exit"], "")
         assert out == case["stdout"]
+
+
+ONE_PASS_ROWS = pytest.mark.parametrize(
+    "sets, csoc",
+    [([[0, 1, 3], [0, 4, 9]], True), ([[0, 1, 2], [0, 3, 5]], False)],
+    ids=["csoc", "colliding"],
+)
+
+
+class TestOneDifferencePassPerRow:
+    """``verify_pair`` checks each row's differences once, X's and then Z's.
+    It reads every fact of X before any of Z's, so the row memo still holds
+    X's CSOC verdict when ``certify_dfree`` asks for it, and ``strong_dts``
+    comes from X's collisions, not from a ``classify`` of its own. A
+    repeated call builds equal rows and checks them again: the memo is
+    keyed by identity, not by value."""
+
+    @staticmethod
+    def _pair(sets):
+        x = PolyMatrix.from_supports([*sets, [0]])
+        z = build_z(x, (2, 1))
+        return x, z, [tuple(s) for s in sets], list(parity_supports(z))
+
+    @ONE_PASS_ROWS
+    def test_verify_pair(self, monkeypatch, sets, csoc):
+        calls = _count_difference_passes(monkeypatch)
+        for _ in range(2):
+            x, z, x_sets, z_sets = self._pair(sets)
+            report = reflect.verify_pair(x, z)
+            assert report.checks["csoc_x"] is csoc
+            assert (report.certificate is not None) is csoc
+        assert calls == [x_sets, z_sets] * 2
+
+    @ONE_PASS_ROWS
+    def test_verify_command(self, capsys, monkeypatch, tmp_path, sets, csoc):
+        _, _, x_sets, z_sets = self._pair(sets)
+        calls = _count_difference_passes(monkeypatch)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"T": sets, "pi": [2, 1], "one_based": False}))
+        for _ in range(2):
+            code, out, err = run_cli(capsys, "verify", "--input", str(path), "--json")
+            assert err == ""
+            assert json.loads(out)["csoc_x"] is csoc
+        # the input parser's classify of T, then X's and Z's CSOC checks
+        assert calls == [x_sets, x_sets, z_sets] * 2
+
+    def test_tables_command(self, capsys, monkeypatch):
+        calls = _count_difference_passes(monkeypatch)
+        for _ in range(2):
+            code, out, err = run_cli(capsys, "tables", "--json")
+            assert (code, err) == (1, "")
+        # per catalogue row: the input parser's classify of T, then X, then Z
+        assert len(calls) == 2 * 14 * 3
+        for t_sets, x_sets, z_sets in zip(calls[::3], calls[1::3], calls[2::3]):
+            assert x_sets == t_sets and z_sets != x_sets
 
 
 class TestTables:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import random
 from itertools import permutations
 
 import pytest
 
 from qccdts import (
+    ONE,
+    DtsClass,
     Gf2Poly,
     PolyMatrix,
     build_systematic_x,
@@ -142,6 +145,106 @@ class TestVerifyPair:
         assert report.checks["csoc_x"] is False
         assert report.checks["dfree"] is False
         assert "dfree" not in {check for check, _ in report.violations}
+
+
+def _strong_dts(report):
+    """verify_pair's strong_dts verdict and the text of its violations."""
+    return report.checks["strong_dts"], [d for c, d in report.violations if c == "strong_dts"]
+
+
+def _classified(x):
+    """The same, as classify reads X's parity supports."""
+    verdict = classify(parity_supports(x)).classification
+    strong = verdict >= DtsClass.STRONG
+    return strong, [] if strong else [f"X family classifies as {verdict}"]
+
+
+class TestStrongDtsFromCsoc:
+    """verify_pair reads strong_dts from X's CSOC collisions, with no
+    classify of its own; the verdict and its text are classify's."""
+
+    @pytest.mark.parametrize(
+        "sets, verdict",
+        [
+            ([(0, 1, 3), (0, 4, 9)], DtsClass.STRONG),
+            ([(0, 1), (0, 2)], DtsClass.FULL_STRONG),
+            ([(0, 1, 2), (0, 4, 9)], DtsClass.NOT_WDTS),
+            ([(0, 1, 3), (0, 1, 5)], DtsClass.WDTS),
+            ([(0,), (2,)], DtsClass.WDTS),
+        ],
+        ids=["dts", "perfect", "repeat_in_one_entry", "repeat_across_entries", "weight_1"],
+    )
+    def test_named(self, sets, verdict):
+        x = PolyMatrix.from_supports([*sets, (0,)])
+        assert classify(sets).classification == verdict
+        got = _strong_dts(verify_pair(x, build_z(x)))
+        assert got == _classified(x)
+        assert got[0] is (verdict >= DtsClass.STRONG)
+
+    def test_random_sample(self):
+        rng = random.Random(2929)
+        seen = set()
+        for _ in range(400):
+            r, w = rng.randint(1, 4), rng.randint(1, 4)
+            scope = rng.randint(w - 1, 14)
+            sets = [(0, *sorted(rng.sample(range(1, scope + 1), w - 1))) for _ in range(r)]
+            x = PolyMatrix.from_supports([*sets, (0,)])
+            pi = list(range(1, r + 1))
+            rng.shuffle(pi)
+            got = _strong_dts(verify_pair(x, build_z(x, pi)))
+            assert got == _classified(x), sets
+            seen.add(classify(sets).classification)
+        # with no budget a DTS of weight >= 2 is STRONG, so DTS never shows
+        assert seen == set(DtsClass) - {DtsClass.DTS}
+
+    # The messages verify_pair raised when it still ran classify on X.
+    @pytest.mark.parametrize(
+        "x_row, z_row, message",
+        [
+            (
+                [(0, 1), (0, 2, 5), (0,)],
+                [(0, 1), (0, 2), (0,)],
+                "all sets in a family must share one cardinality",
+            ),
+            ([(0, 1), (), (0,)], [(0, 1), (0, 2), (0,)], "support set must be nonempty"),
+            (
+                [(0, 1), (-1, 2), (0,)],
+                [(0, 1), (0, 2), (0,)],
+                "element -1 must be a non-negative integer",
+            ),
+            (
+                [(0, 1), (0, 2), (1,)],
+                [(0, 1), (0, 2), (0,)],
+                "expected a systematic 1 x n row with constant 1 in the last entry",
+            ),
+            (
+                [(0, 1), (0, 2), (0,)],
+                [(0, 1), (0, 2), (1,)],
+                "expected a systematic 1 x n row with constant 1 in the last entry",
+            ),
+            # X's input check comes before Z's systematic check.
+            (
+                [(0, 1), (0, 2, 5), (0,)],
+                [(0, 1), (0, 2), (1,)],
+                "all sets in a family must share one cardinality",
+            ),
+        ],
+        ids=["unequal_weights", "empty_entry", "negative_exponent",
+             "non_systematic_x", "non_systematic_z", "x_checked_first"],
+    )
+    def test_input_errors_unchanged(self, x_row, z_row, message):
+        x, z = (PolyMatrix([Gf2Poly(s) for s in row]) for row in (x_row, z_row))
+        with pytest.raises(ValueError) as exc:
+            verify_pair(x, z)
+        assert str(exc.value) == message
+
+    def test_z_is_not_classified(self):
+        # Z gets the CSOC check alone, as before: no weight or sign check.
+        x = PolyMatrix.from_supports([(0, 1), (0, 2), (0,)])
+        z = PolyMatrix((Gf2Poly((-1, 2)), Gf2Poly((0, 1, 2)), ONE))
+        report = verify_pair(x, z)
+        assert report.checks["strong_dts"] is True
+        assert report.checks["csoc_z"] is False
 
 
 def test_reflection_preserves_per_set_differences():

@@ -127,6 +127,53 @@ MUTANTS = [
         "",
         ("tests/test_dts.py",),
     ),
+    # The one difference check, dts.repeated_differences, and its order.
+    (
+        "collision order changed",
+        "dts.py",
+        "sorted(a & b)",
+        "sorted(a & b, reverse=True)",
+        ("tests/test_dts.py",),
+    ),
+    (
+        "no collisions reported",
+        "dts.py",
+        "    return tuple(collisions)\n",
+        "    return ()\n",
+        ("tests/test_dts.py",),
+    ),
+    (
+        "one collision per repeated run",
+        "dts.py",
+        "            for prev, d in zip(diffs, diffs[1:])\n"
+        "            if d == prev\n",
+        "            for d in sorted({d for prev, d in zip(diffs, diffs[1:]) if d == prev})\n",
+        ("tests/test_dts.py",),
+    ),
+    # The verdict rule below DTS, dts._below_dts, shared by classify and
+    # reflect.verify_pair.
+    (
+        "one-entry collision read as WDTS",
+        "dts.py",
+        "        return DtsClass.NOT_WDTS\n",
+        "        return DtsClass.WDTS\n",
+        ("tests/test_reflect.py",),
+    ),
+    (
+        "weight 1 read as strong",
+        "dts.py",
+        "if len(members[0]) == 1 or collisions:",
+        "if collisions:",
+        ("tests/test_reflect.py",),
+    ),
+    # verify_pair's read order: every fact of X before any of Z's.
+    (
+        "Z's CSOC read between X's reads",
+        "reflect.py",
+        ("    csoc_z, mu_z = is_csoc(z), memory(z)\n", "    csoc_x = is_csoc(x)\n"),
+        ("", "    csoc_x = is_csoc(x)\n    csoc_z, mu_z = is_csoc(z), memory(z)\n"),
+        ("tests/test_cli.py",),
+    ),
     # The input parser, cli._code_input.
     (
         "one_based null rejected again",
@@ -524,26 +571,40 @@ MUTANTS = [
         "    z_sets = parity_supports(build_z(x))\n",
         ("tests/test_cli.py",),
     ),
-    # The one-pass sum, symplectic.symplectic_sum.
+    # The half sum, symplectic.symplectic_sum: P folded once, XOR its mirror.
     (
-        "symplectic sum drops the (z, x) half",
+        "symplectic sum's (z, x) half unmirrored",
         "symplectic.py",
-        "for left, right in ((x_row, z_row), (z_row, x_row))",
-        "for left, right in ((x_row, z_row),)",
+        "    odd ^= {-e for e in odd}\n",
+        "    odd ^= {e for e in odd}\n",
         ("tests/test_gf2poly.py", "tests/test_symplectic.py"),
     ),
     (
         "symplectic sum adds t + u",
         "symplectic.py",
-        "            t - u\n",
-        "            t + u\n",
+        "{t - u for u in right}",
+        "{t + u for u in right}",
         ("tests/test_gf2poly.py", "tests/test_symplectic.py"),
     ),
     (
         "symplectic sum takes abs(t - u)",
         "symplectic.py",
-        "            t - u\n",
-        "            abs(t - u)\n",
+        "{t - u for u in right}",
+        "{abs(t - u) for u in right}",
+        ("tests/test_gf2poly.py", "tests/test_symplectic.py"),
+    ),
+    (
+        "symplectic sum without its mirror",
+        "symplectic.py",
+        "    odd ^= {-e for e in odd}\n",
+        "",
+        ("tests/test_gf2poly.py", "tests/test_symplectic.py"),
+    ),
+    (
+        "symplectic sum's halves joined by union",
+        "symplectic.py",
+        "    odd ^= {-e for e in odd}\n",
+        "    odd |= {-e for e in odd}\n",
         ("tests/test_gf2poly.py", "tests/test_symplectic.py"),
     ),
     # The violations of symplectic.is_commuting.
