@@ -542,7 +542,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.full_strong:
         full_strong = DtsClass.FULL_STRONG
         families = (f for f in families if f.classification == full_strong)
-    sys.stdout.writelines(_search_lines(itertools.islice(families, args.limit)))
+    if args.limit is not None:
+        # islice takes at most sys.maxsize, more families than any stream holds.
+        families = itertools.islice(families, min(args.limit, sys.maxsize))
+    sys.stdout.writelines(_search_lines(families))
     return 0
 
 

@@ -27,12 +27,15 @@ row is self-orthogonal exactly when its parity supports form a DTS, and
 :func:`classify` and for ``reflect.verify_pair``, which so takes X's
 strength from X's CSOC check.
 
-:func:`search_strong_dts` enumerates strong families with ``int``
-difference masks, one generator over an explicit stack of frames, and a
-last-level loop that yields each family, classified by the count above.
-It builds each immutable :class:`DtsFamily` through the class's slot
-descriptors, which skip the Python-level ``__init__`` and its
-``object.__setattr__`` call per field.
+:func:`search_strong_dts` enumerates strong families, each classified by
+the count above, and scans no list of candidates per branch. At weight 2
+no two candidate sets {0, d} share a difference, so the families are the
+r-combinations of the candidates. At weight 3 and up a pool of candidates
+is one ``int`` bitset, and a branch's pool drops the candidates that share
+a difference with the chosen set, read from an index of the candidates
+holding each difference. It builds each immutable :class:`DtsFamily`
+through the class's slot descriptors, which skip the Python-level
+``__init__`` and its ``object.__setattr__`` call per field.
 """
 
 from __future__ import annotations
@@ -252,6 +255,15 @@ def _wdts_candidates(w: int, max_scope: int) -> list[tuple[tuple[int, ...], int]
     return out
 
 
+# _BIT_CHARS[k] maps a byte to b"1" when its bit k is set, else to b"0".
+_BIT_CHARS = tuple((b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8))
+
+# search_strong_dts caches the clash of a candidate at a bit below this one
+# only: the cache then holds at most _CACHED_BITS**2 / 2 bits (1 MiB) at any
+# pool size, and caches every clash of a pool of fewer candidates.
+_CACHED_BITS = 1 << 12
+
+
 def _check_search_args(r: int, w: int, max_scope: int) -> None:
     """Raise ValueError unless :func:`search_strong_dts` accepts the arguments.
 
@@ -275,41 +287,94 @@ def search_strong_dts(r: int, w: int, max_scope: int) -> Iterator[DtsFamily]:
     argument checks raise ValueError on the first iteration; a caller that
     may never iterate (a limit of 0) runs :func:`_check_search_args` first.
 
-    The search is one generator over an explicit stack of frames
-    ``(pool, next index, chosen, used mask)``: ``pool`` holds the later
-    candidates whose difference masks miss ``used``, the union of the
-    chosen sets' masks. Once r-1 sets are chosen, a last-level loop runs
-    straight over the frame's pool, so each family costs one mask union
-    and no generator frame per chosen set. Because every set is
-    normalized, the largest difference is the family scope, which is the
-    tightest budget M, read off the union mask's top bit. As in
-    :func:`classify`, the family is FULL_STRONG iff M = r * C(w,2), the
-    count of its distinct differences, so no family calls :func:`classify`.
-    A family's sets are the candidates' own tuples, so a stream holds one
-    object per distinct set. Families are built through the slot
-    descriptors, not the constructor, because ``__init__`` calls
-    ``object.__setattr__`` once per field; each is still an ordinary
-    immutable :class:`DtsFamily`.
+    At w = 2 each candidate {0, d} has the one difference d, so no two
+    candidates clash and the strong families are the r-combinations of the
+    candidates, in order; the last set's d is the budget.
+
+    At w >= 3 a pool is one ``int`` bitset over the candidates of
+    :func:`_wdts_candidates`, candidate i at bit n-1-i, so a pool's next
+    candidate is its top bit. The search is one generator over an explicit
+    stack of frames ``(pool, chosen, used mask)``. Branching on the next
+    candidate leaves its sibling frame, the pool without it (``rest``), and
+    a child frame whose pool is ``rest & ~clash``: ``clash`` is the union
+    of the index rows of the candidate's differences, cut to the later
+    candidates. Row d, the candidates holding difference d, is built when
+    first needed, from one strided slice of the candidates' difference
+    masks packed as bytes. The clash of a candidate below bit
+    ``_CACHED_BITS`` is kept, one mask per candidate cut to the later ones,
+    so the cache never holds more than about 1 MiB. A frame whose pool
+    holds fewer candidates than the sets still needed is dropped unread.
+    Once r-1 sets are chosen, a last-level loop reads the pool's bits in
+    descending order, so each family costs one mask union and no frame.
+
+    Because every set is normalized, the largest difference is the family
+    scope, which is the tightest budget M. As in :func:`classify`, the
+    family is FULL_STRONG iff M = r * C(w,2), the count of its distinct
+    differences, so no family calls :func:`classify`. A family's sets are
+    the candidates' own tuples, so a stream holds one object per distinct
+    set. Families are built through the slot descriptors, not the
+    constructor, because ``__init__`` calls ``object.__setattr__`` once per
+    field; each is still an ordinary immutable :class:`DtsFamily`.
     """
     _check_search_args(r, w, max_scope)
 
     strong, full_strong = DtsClass.STRONG, DtsClass.FULL_STRONG
     perfect = r * (w * (w - 1) // 2)
+    if w == 2:
+        cands = [(0, d) for d in range(1, max_scope + 1)]
+        for sets in itertools.combinations(cands, r):
+            budget = sets[-1][1]
+            family = _new(DtsFamily)
+            _set_sets(family, sets)
+            _set_classification(family, full_strong if budget == perfect else strong)
+            _set_budget(family, budget)
+            yield family
+        return
+
+    # by_bit[b] is the candidate at bit b: the candidates in reverse order.
+    by_bit = _wdts_candidates(w, max_scope)
+    by_bit.reverse()
+    # The difference masks as width-byte big-endian words in candidate
+    # order: the bytes holding difference d are one strided slice.
+    width = max_scope // 8 + 1
+    packed = bytearray()
+    for _, mask in reversed(by_bit):
+        packed += mask.to_bytes(width, "big")
+    rows: dict[int, int] = {}
+    clashes: dict[int, int] = {}
     last = r - 1
-    stack = [(_wdts_candidates(w, max_scope), 0, (), 0)]
+    stack = [((1 << len(by_bit)) - 1, (), 0)]
     while stack:
-        pool, idx, chosen, used = stack.pop()
+        pool, chosen, used = stack.pop()
+        if pool.bit_count() < r - len(chosen):
+            continue
         if len(chosen) == last:
-            for member, mask in pool:
+            while pool:
+                top = pool.bit_length() - 1
+                pool ^= 1 << top
+                member, mask = by_bit[top]
                 budget = (used | mask).bit_length() - 1
                 family = _new(DtsFamily)
                 _set_sets(family, chosen + (member,))
                 _set_classification(family, full_strong if budget == perfect else strong)
                 _set_budget(family, budget)
                 yield family
-        elif idx < len(pool):
-            member, mask = pool[idx]
-            stack.append((pool, idx + 1, chosen, used))
-            covered = used | mask
-            rest = [c for c in pool[idx + 1:] if not c[1] & covered]
-            stack.append((rest, 0, chosen + (member,), covered))
+            continue
+        top = pool.bit_length() - 1
+        rest = pool ^ (1 << top)
+        member, mask = by_bit[top]
+        clash = clashes.get(top)
+        if clash is None:
+            clash = 0
+            for a, b in itertools.combinations(member, 2):
+                d = b - a
+                row = rows.get(d)
+                if row is None:
+                    column = packed[width - 1 - (d >> 3)::width]
+                    row = rows[d] = int(column.translate(_BIT_CHARS[d & 7]), 2)
+                clash |= row
+            clash &= (1 << top) - 1
+            if top < _CACHED_BITS:
+                clashes[top] = clash
+        stack.append((rest, chosen, used))
+        stack.append((rest & ~clash, chosen + (member,), used | mask))

@@ -1125,6 +1125,12 @@ class TestSearch:
         _, full, _ = run_cli(capsys, "search", "3", "2", "6")
         assert lines[0] == full.splitlines()[0]
 
+    def test_limit_past_sys_maxsize_prints_the_whole_stream(self, capsys):
+        # A limit too large for islice is still a valid limit.
+        whole = run_cli(capsys, "search", "2", "2", "5")
+        assert run_cli(capsys, "search", "2", "2", "5", "--limit", "99999999999999999999") == whole
+        assert whole[0] == 0 and whole[1].count("\n") == 10
+
     def test_limit_zero_prints_nothing(self, capsys):
         code, out, err = run_cli(capsys, "search", "3", "2", "6", "--limit", "0")
         assert code == 0

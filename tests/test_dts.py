@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -17,7 +18,8 @@ from qccdts import (
     search_strong_dts,
 )
 from qccdts.cli import _code_input, _format_sets
-from qccdts.dts import as_support, repeated_differences
+from qccdts.dts import _wdts_candidates, as_support, repeated_differences
+from references import list_pool_search
 
 
 class TestSupportSet:
@@ -276,6 +278,27 @@ def test_search_matches_brute_force(r, w, scope):
     assert found == _brute_force_strong(r, w, scope)
 
 
+# r = 1..5 at w = 2..5; pools of 72 and 98 candidates (4, 3, 13) and
+# (5, 3, 15), of 674 and 802 at (2, 4, 19) and (3, 4, 20), and of 5,646 at
+# (2, 5, 26), past the clash cache's bit bound; and empty streams below the
+# counting floor r * C(w,2), (4, 3, 11) and (3, 4, 17).
+@pytest.mark.parametrize(
+    "r, w, scope",
+    [
+        (1, 2, 6), (3, 2, 8), (4, 2, 10), (5, 2, 11),
+        (1, 3, 9), (2, 3, 10), (3, 3, 12), (4, 3, 13), (5, 3, 15), (5, 3, 16),
+        (4, 3, 11),
+        (1, 4, 11), (2, 4, 15), (2, 4, 19), (3, 4, 20), (3, 4, 17),
+        (1, 5, 16), (2, 5, 22), (2, 5, 26),
+    ],
+)
+def test_search_matches_list_pool_reference(r, w, scope):
+    def stream(families):
+        return [(fam.sets, fam.classification, fam.budget) for fam in families]
+
+    assert stream(search_strong_dts(r, w, scope)) == stream(list_pool_search(r, w, scope))
+
+
 def _collisions_bruteforce(supports) -> list[tuple[int, tuple[int, ...]]]:
     """The documented collision list, from counts over every pair of elements.
 
@@ -373,3 +396,19 @@ def test_classification_reorder_random():
         members = list(fam.sets)
         rng.shuffle(members)
         assert classify(members).classification == fam.classification
+
+
+def test_first_family_needs_no_memory_beyond_the_candidates():
+    # Index rows are built on demand and the clash cache is bounded, so
+    # reaching the first family costs little beyond the candidate list.
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    candidates = peak(lambda: _wdts_candidates(5, 40))
+    for r in (2, 3):
+        assert peak(lambda: next(search_strong_dts(r, 5, 40))) <= 1.2 * candidates, r

@@ -294,6 +294,85 @@ MUTANTS = [
         "    perfect = r * (w * (w - 1) // 2) - 1\n",
         ("tests/test_dts.py",),
     ),
+    # The strong-family engine, dts.search_strong_dts: r-combinations at
+    # w = 2, candidate bitsets at w >= 3.
+    (
+        "w = 2 families drawn from cands[1:]",
+        "dts.py",
+        "        for sets in itertools.combinations(cands, r):\n",
+        "        for sets in itertools.combinations(cands[1:], r):\n",
+        ("tests/test_dts.py",),
+    ),
+    (
+        "w = 2 budget read as sets[0][1]",
+        "dts.py",
+        "            budget = sets[-1][1]\n",
+        "            budget = sets[0][1]\n",
+        ("tests/test_dts.py",),
+    ),
+    (
+        "popcount prune one tighter",
+        "dts.py",
+        "        if pool.bit_count() < r - len(chosen):\n",
+        "        if pool.bit_count() < r - len(chosen) + 1:\n",
+        ("tests/test_dts.py",),
+    ),
+    (
+        "last level decoded in ascending bit order",
+        "dts.py",
+        "                top = pool.bit_length() - 1\n",
+        "                top = (pool & -pool).bit_length() - 1\n",
+        ("tests/test_dts.py",),
+    ),
+    (
+        "child pool keeps clashing candidates (& ~clash dropped)",
+        "dts.py",
+        "        stack.append((rest & ~clash, chosen + (member,), used | mask))\n",
+        "        stack.append((rest, chosen + (member,), used | mask))\n",
+        ("tests/test_dts.py",),
+    ),
+    (
+        "index row read from the neighbouring byte",
+        "dts.py",
+        "column = packed[width - 1 - (d >> 3)::width]",
+        "column = packed[max(width - 2 - (d >> 3), 0)::width]",
+        ("tests/test_dts.py",),
+    ),
+    (
+        "index row read from the next bit",
+        "dts.py",
+        "_BIT_CHARS[d & 7]",
+        "_BIT_CHARS[(d + 1) & 7]",
+        ("tests/test_dts.py",),
+    ),
+    (
+        "clash cache unbounded",
+        "dts.py",
+        "            if top < _CACHED_BITS:\n",
+        "            if True:\n",
+        ("tests/test_dts.py",),
+    ),
+    (
+        "search depth capped at 4 sets",
+        "dts.py",
+        "    last = r - 1\n",
+        "    last = min(r - 1, 3)\n",
+        ("tests/test_dts.py",),
+    ),
+    (
+        "search skips the next sibling",
+        "dts.py",
+        "        stack.append((rest, chosen, used))\n",
+        "        stack.append((rest ^ (1 << rest.bit_length() >> 1), chosen, used))\n",
+        ("tests/test_dts.py",),
+    ),
+    (
+        "search classifies with int, not DtsClass",
+        "dts.py",
+        "    strong, full_strong = DtsClass.STRONG, DtsClass.FULL_STRONG\n",
+        "    strong, full_strong = int(DtsClass.STRONG), int(DtsClass.FULL_STRONG)\n",
+        ("tests/test_dts.py",),
+    ),
     # The one depth-first search, distance._lightest, and its callers.
     (
         "flush-only search also completes at last",
