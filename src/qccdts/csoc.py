@@ -9,14 +9,14 @@ supports form a DTS, so :func:`is_csoc` reports the collisions of
 ``dts.repeated_differences``, the one check of that condition.
 
 ``parity_supports``, ``memory`` and ``is_csoc`` each compute their fact
-once per row and keep it in ``gf2poly``'s one-entry row memo, so the
-repeated reads of one command on one row are lookups.
+once per row and keep it on the row, so the repeated reads of one
+command on one row are lookups.
 """
 
 from __future__ import annotations
 
 from .dts import DifferenceCollision, DtsFamily, repeated_differences
-from .gf2poly import ONE, Gf2Poly, PolyMatrix, _Record, _row_facts, _setattr
+from .gf2poly import ONE, Gf2Poly, PolyMatrix, _Record, _setattr
 
 
 class CsocReport(_Record):
@@ -37,33 +37,28 @@ def build_systematic_x(family: DtsFamily) -> PolyMatrix:
     return PolyMatrix(tuple(Gf2Poly(s) for s in family.sets) + (ONE,))
 
 
-def require_systematic(x: PolyMatrix) -> None:
-    row = x.row
-    if not (len(row) >= 2 and row[-1].support == (0,)):
-        raise ValueError(
-            "expected a systematic 1 x n row with constant 1 in the last entry"
-        )
-
-
 def parity_supports(x: PolyMatrix) -> tuple[tuple[int, ...], ...]:
     """Exponent supports of the n-1 parity entries of a systematic row."""
-    facts = _row_facts(x)
-    supports = facts.supports
+    supports = x._supports
     if supports is None:
-        require_systematic(x)
-        supports = facts.supports = tuple([p.support for p in x.row[:-1]])
+        row = x.row
+        if not (len(row) >= 2 and row[-1].support == (0,)):
+            raise ValueError(
+                "expected a systematic 1 x n row with constant 1 in the last entry"
+            )
+        supports = tuple([p.support for p in row[:-1]])
+        _setattr(x, "_supports", supports)
     return supports
 
 
 def memory(h: PolyMatrix) -> int:
     """Encoder memory of a single parity row: its largest exponent."""
-    facts = _row_facts(h)
-    top = facts.memory
+    top = h._memory
     if top is None:
         top = max((p.support[-1] for p in h.row if p.support), default=None)
         if top is None:
             raise ValueError("memory of the zero matrix is undefined")
-        facts.memory = top
+        _setattr(h, "_memory", top)
     return top
 
 
@@ -74,9 +69,9 @@ def is_csoc(x: PolyMatrix) -> CsocReport:
     repeats within an entry or across two entries. The report lists the
     collisions of :func:`dts.repeated_differences`, in its order.
     """
-    facts = _row_facts(x)
-    report = facts.csoc
+    report = x._csoc
     if report is None:
         collisions = repeated_differences(parity_supports(x))
-        report = facts.csoc = CsocReport(ok=not collisions, collisions=collisions)
+        report = CsocReport(ok=not collisions, collisions=collisions)
+        _setattr(x, "_csoc", report)
     return report

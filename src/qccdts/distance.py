@@ -42,7 +42,7 @@ needs a stream whose polynomial is zero.
 Every entry point rejects a row with a negative exponent (a Laurent
 term) before any work, since the encoder runs forward from time 0. The
 supports that pass that check, like the memory and the CSOC verdict, are
-computed once per row and kept in ``gf2poly``'s row memo, so the profile's
+computed once per row and kept on the row, so the profile's
 ``column_distance`` calls and the certificate read them without
 re-checking the row.
 """
@@ -54,7 +54,7 @@ from bisect import bisect_right
 from itertools import repeat
 
 from .csoc import is_csoc, memory, parity_supports
-from .gf2poly import PolyMatrix, _Record, _row_facts, _setattr
+from .gf2poly import PolyMatrix, _Record, _setattr
 
 MAX_EXACT_BUDGET = 6
 MAX_EXACT_MEMORY = 12
@@ -96,8 +96,7 @@ class DistanceCertificate(_Record):
 
 def _causal_supports(x: PolyMatrix) -> tuple[tuple[int, ...], ...]:
     """Parity supports of a systematic row, none with a negative exponent."""
-    facts = _row_facts(x)
-    supports = facts.causal
+    supports = x._causal
     if supports is None:
         supports = parity_supports(x)
         for i, sup in enumerate(supports):
@@ -106,7 +105,7 @@ def _causal_supports(x: PolyMatrix) -> tuple[tuple[int, ...], ...]:
                     f"stream {i + 1} has negative exponent {sup[0]}; "
                     "distances need exponents >= 0"
                 )
-        facts.causal = supports
+        _setattr(x, "_causal", supports)
     return supports
 
 

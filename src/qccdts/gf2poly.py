@@ -6,9 +6,9 @@ Negative exponents are allowed (Laurent terms); the zero polynomial has
 empty support and no degree. A generator X(D) or Z(D) is a
 :class:`PolyMatrix`, whose value is its one row of polynomials,
 ``x.row``. All values are immutable and all operations are pure, so
-they are safe to share across threads. The one per-row cache,
-``_row_facts``, keeps what the other modules derive from the last row
-they read, keyed by that row's identity.
+they are safe to share across threads. A row also keeps what the other
+modules derive from it, in cache slots of its own (see
+:class:`PolyMatrix`).
 
 The textual form used everywhere (CLI output, golden files) is
 ``1+D+D^3``: terms ascend, exponent 0 prints as ``1``, exponent 1 as
@@ -39,18 +39,23 @@ class _Record:
     tuple of its field values, prints as ``Name(field=value, ...)``, and
     refuses to assign or delete a field. ``copy`` and ``pickle`` rebuild
     it through ``__init__``, so a copy passes the same checks.
+
+    A slot whose name starts with ``_`` is a cache, not a field: equality,
+    hashing, the repr and ``copy``/``pickle`` leave it out, so a copy
+    starts with its caches empty.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
+        cls._fields = tuple([n for n in cls.__slots__ if not n.startswith("_")])
         # Every field in one C call, for __eq__: a tuple, or the bare value
         # of a lone field, which compares the same way. A Python loop over
         # the fields made each comparison about four times as slow.
-        cls._read_fields = staticmethod(attrgetter(*cls.__slots__))
+        cls._read_fields = staticmethod(attrgetter(*cls._fields))
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -69,7 +74,7 @@ class _Record:
 
     def __repr__(self) -> str:
         fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+            f"{name}={getattr(self, name)!r}" for name in self._fields
         )
         return f"{self.__class__.__qualname__}({fields})"
 
@@ -180,9 +185,18 @@ class PolyMatrix(_Record):
     The value is the row itself, ``row``, a tuple read as ``x.row[j]``.
     Every X and Z the construction builds, and every command checks, is
     one such row, so no other shape exists.
+
+    The other slots are caches of what the library derives from the row
+    and checks: the parity supports (``csoc.parity_supports``), the same
+    supports once none holds a negative exponent
+    (``distance._causal_supports``), the memory, the ``CsocReport`` and
+    the odd-occupancy delays (``symplectic._odd_delays``). Each is None
+    until its reader first computes it, and is stored only once every
+    check on the way has passed, so a row that fails a check raises on
+    every call.
     """
 
-    __slots__ = ("row",)
+    __slots__ = ("row", "_supports", "_causal", "_memory", "_csoc", "_odd")
 
     def __init__(self, polys: Iterable[Gf2Poly]) -> None:
         row = tuple(polys)
@@ -192,6 +206,8 @@ class PolyMatrix(_Record):
             if not isinstance(p, Gf2Poly):
                 raise ValueError(f"entry {p!r} is not a Gf2Poly")
         _setattr(self, "row", row)
+        for cache in self.__slots__[1:]:
+            _setattr(self, cache, None)
 
     @classmethod
     def from_supports(cls, supports: Iterable[Iterable[int]]) -> "PolyMatrix":
@@ -208,39 +224,3 @@ class PolyMatrix(_Record):
     def __str__(self) -> str:
         return "(" + ", ".join(str(p) for p in self.row) + ")"
 
-
-class _RowFacts:
-    """What the library has derived from one row and checked: the parity
-    supports (``csoc.parity_supports``), the same supports once none holds a
-    negative exponent (``distance._causal_supports``), the memory, the
-    ``CsocReport`` and the odd-occupancy delays (``symplectic._odd_delays``).
-    Each is None until its reader first computes it, and is stored only
-    once every check on the way has passed.
-    """
-
-    __slots__ = ("supports", "causal", "memory", "csoc", "odd")
-
-    def __init__(self) -> None:
-        self.supports = self.causal = self.memory = self.csoc = self.odd = None
-
-
-# The last row read through _row_facts and its facts, kept as one tuple so
-# that a concurrent reader always unpacks a matching pair.
-_last_row: tuple[PolyMatrix | None, _RowFacts] = (None, _RowFacts())
-
-
-def _row_facts(x: PolyMatrix) -> _RowFacts:
-    """The facts of row ``x``: the memo's when ``x`` is the last row read,
-    else a fresh, empty set that replaces it.
-
-    The one per-row memo. It is keyed by identity, never by value, and it
-    holds the row it describes, so that identity cannot pass to another row
-    while the entry lives. A row that fails a check has no fact stored for
-    it, so it raises on every call.
-    """
-    global _last_row
-    last, facts = _last_row
-    if last is not x:
-        facts = _RowFacts()
-        _last_row = (x, facts)
-    return facts

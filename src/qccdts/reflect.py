@@ -15,21 +15,18 @@ any permutation and leaves the judgement to the commutation check.
 
 ``verify_pair`` is the one verification pipeline: it runs every check on
 a pair and returns the verdicts, violations and distance certificate
-that the ``verify`` and ``tables`` commands render. It reads each row
-once, every fact of X before any of Z's: X's parity supports, its CSOC
-verdict (one pass of ``dts.repeated_differences``, whose collisions
-also give the strong_dts verdict), its memory, the A7 check and, on a
-CSOC row, the distance certificate; then Z's CSOC verdict and memory,
-then the commutation check. ``gf2poly``'s row memo holds one row, so in
-this order no fact of X is computed twice. The violations are listed in
-the order of the checks, whatever order computed them.
+that the ``verify`` and ``tables`` commands render. Each row keeps its
+facts, so each is computed once: X's CSOC verdict is one pass of
+``dts.repeated_differences``, whose collisions also give the strong_dts
+verdict, and ``certify_dfree`` reads it again from the row. The
+violations are listed in the order of the checks.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .csoc import is_csoc, memory, parity_supports, require_systematic
+from .csoc import is_csoc, memory, parity_supports
 from .distance import DistanceCertificate, certify_dfree
 from .dts import _below_dts, _members
 from .gf2poly import ONE, PolyMatrix, _Record, _setattr
@@ -56,7 +53,7 @@ def build_z(x: PolyMatrix, pi: Sequence[int] | None = None) -> PolyMatrix:
     identity. The reversal window is the memory of X; the systematic
     last entry stays the constant 1, untouched by the reversal.
     """
-    require_systematic(x)
+    parity_supports(x)
     streams = x.ncols - 1
     pi = identity_permutation(streams) if pi is None else _check_permutation(pi, streams)
     window = memory(x)
@@ -105,9 +102,6 @@ def verify_pair(
     commute, X must satisfy the A7 sum-index identity, and when X is CSOC
     its certified free distance must be ``expect_w + 1`` when given.
     """
-    # Every fact of X before any of Z's: the row memo holds one row, so
-    # X's supports and CSOC verdict are still there when certify_dfree
-    # reads them, and each row's differences are checked once.
     members = _members(parity_supports(x))
     csoc_x = is_csoc(x)
     below = _below_dts(members, csoc_x.collisions)

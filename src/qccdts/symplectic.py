@@ -16,11 +16,11 @@ pairs with t != u come in twos and cancel mod 2. That leaves
 C_s = #{k : s even and s/2 in L_k} mod 2: 1 exactly when s is even and
 s/2 is an odd-occupancy delay, one held by an odd number of columns.
 ``_odd_delays`` builds that set once per row, as the XOR of the
-supports, and keeps it with the row's other facts in ``gf2poly``'s
-one-entry row memo, keyed by object identity. An odd s returns a shared
-((0,),) at once, and an even s reads the memo's entry, with no call when
-x is its row, and makes one set lookup that returns a shared ((1,),) or
-((0,),), so the 2M + 1 calls of one check read the row's supports once.
+supports, and keeps it on the row with its other facts. An odd s returns
+a shared ((0,),) at once, and an even s reads the row's set, with no
+call once it is built, and makes one set lookup that returns a shared
+((1,),) or ((0,),), so the 2M + 1 calls of one check read the row's
+supports once.
 
 ``check_reflection_symmetry`` tests the identity C_s = C_{2M-s}^T on
 [0, 2M], which for one row is C_s = C_{2M-s}: the per-delay
@@ -42,8 +42,7 @@ commutation check, with no further content.
 
 from __future__ import annotations
 
-from . import gf2poly
-from .gf2poly import Gf2Poly, PolyMatrix, _Record, _row_facts, _setattr
+from .gf2poly import Gf2Poly, PolyMatrix, _Record, _setattr
 
 
 class SymplecticReport(_Record):
@@ -98,16 +97,16 @@ _ONE_1X1 = ((1,),)
 def _odd_delays(x: PolyMatrix) -> frozenset[int]:
     """The delays held by an odd number of x's columns: the XOR of the supports.
 
-    The systematic column counts like any other. The set is kept in the
-    row memo, so the 2M + 1 kernel calls of one A7 check build it once.
+    The systematic column counts like any other. The set is kept on the
+    row, so the 2M + 1 kernel calls of one A7 check build it once.
     """
-    facts = _row_facts(x)
-    delays = facts.odd
+    delays = x._odd
     if delays is None:
         odd: set[int] = set()
         for p in x.row:
             odd.symmetric_difference_update(p.support)
-        delays = facts.odd = frozenset(odd)
+        delays = frozenset(odd)
+        _setattr(x, "_odd", delays)
     return delays
 
 
@@ -125,10 +124,9 @@ def sum_index_matrix(x: PolyMatrix, s: int) -> tuple[tuple[int, ...], ...]:
     """
     if s & 1:
         return _ZERO_1X1
-    # The memo's set when x is its row, read here and not through a call:
-    # a call per even s made the A7 check about 10% slower at M = 4,000.
-    last, facts = gf2poly._last_row
-    delays = facts.odd if last is x else None
+    # The row's set, read here and not through a call: a call per even s
+    # made the A7 check about 10% slower at M = 4,000.
+    delays = x._odd
     if delays is None:
         delays = _odd_delays(x)
     return _ONE_1X1 if s >> 1 in delays else _ZERO_1X1

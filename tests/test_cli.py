@@ -18,10 +18,12 @@ from hypothesis import strategies as st
 from qccdts import cli, dts, reflect
 from qccdts import csoc as csoc_module
 from qccdts.cli import main
-from qccdts.csoc import parity_supports
+from qccdts.csoc import is_csoc, memory, parity_supports
+from qccdts.distance import certify_dfree
 from qccdts.dts import DtsClass, DtsFamily, repeated_differences, search_strong_dts
 from qccdts.gf2poly import PolyMatrix
 from qccdts.reflect import build_z
+from qccdts.symplectic import check_reflection_symmetry
 
 # `qccdts distance --json` on the 14 catalogue rows and on three colliding
 # (not self-orthogonal) rows under --budget 4, 5 and 6, recorded before the
@@ -678,8 +680,8 @@ class TestDistance:
         """``classify`` checks the family's differences once and ``is_csoc``
         checks X's once: the CSOC verdict that the command and
         ``certify_dfree`` both read is computed once per row. A repeated
-        command builds an equal row, and checks it again: the row memo is
-        keyed by identity, not by value."""
+        command builds an equal row, and checks it again: a row's facts
+        are kept on the row itself, not looked up by value."""
         calls = _count_difference_passes(monkeypatch)
         path = tmp_path / "input.json"
         path.write_text(json.dumps({"T": sets, "one_based": False}))
@@ -722,11 +724,11 @@ ONE_PASS_ROWS = pytest.mark.parametrize(
 
 class TestOneDifferencePassPerRow:
     """``verify_pair`` checks each row's differences once, X's and then Z's.
-    It reads every fact of X before any of Z's, so the row memo still holds
-    X's CSOC verdict when ``certify_dfree`` asks for it, and ``strong_dts``
-    comes from X's collisions, not from a ``classify`` of its own. A
-    repeated call builds equal rows and checks them again: the memo is
-    keyed by identity, not by value."""
+    Each row keeps its CSOC verdict, so ``certify_dfree`` reads X's from
+    the row in any order of reads, and ``strong_dts`` comes from X's
+    collisions, not from a ``classify`` of its own. A repeated call
+    builds equal rows and checks them again: the facts live on each row,
+    not in a table keyed by value."""
 
     @staticmethod
     def _pair(sets):
@@ -743,6 +745,48 @@ class TestOneDifferencePassPerRow:
             assert report.checks["csoc_x"] is csoc
             assert (report.certificate is not None) is csoc
         assert calls == [x_sets, z_sets] * 2
+
+    @staticmethod
+    def _certify(x):
+        """``certify_dfree(x)``, or its refusal of a row that is not CSOC."""
+        try:
+            return certify_dfree(x)
+        except ValueError as exc:
+            assert str(exc) == "certificate requires CSOC; input row is not"
+            return None
+
+    @ONE_PASS_ROWS
+    def test_interleaved_reads(self, monkeypatch, sets, csoc):
+        x, z, x_sets, z_sets = self._pair(sets)
+        calls = _count_difference_passes(monkeypatch)
+        assert is_csoc(x).ok is csoc
+        is_csoc(z)
+        assert (self._certify(x) is not None) is csoc
+        is_csoc(z)
+        assert calls == [x_sets, z_sets]
+
+    @ONE_PASS_ROWS
+    def test_verify_pair_after_reads_in_any_order(self, monkeypatch, sets, csoc):
+        """The reads of ``verify_pair``, made first in every order, leave it
+        nothing to recompute: the report is the same and each row's
+        differences are checked once."""
+        x, z, x_sets, z_sets = self._pair(sets)
+        want = reflect.verify_pair(x, z)
+        calls = _count_difference_passes(monkeypatch)
+        reads = (
+            lambda x, z: is_csoc(x),
+            lambda x, z: self._certify(x),
+            lambda x, z: check_reflection_symmetry(x),
+            lambda x, z: is_csoc(z),
+            lambda x, z: memory(z),
+        )
+        for order in itertools.permutations(reads):
+            x, z, _, _ = self._pair(sets)
+            calls.clear()
+            for read in order:
+                read(x, z)
+            assert reflect.verify_pair(x, z) == want
+            assert sorted(calls) == sorted([x_sets, z_sets])
 
     @ONE_PASS_ROWS
     def test_verify_command(self, capsys, monkeypatch, tmp_path, sets, csoc):

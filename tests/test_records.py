@@ -4,6 +4,9 @@ Each record compares equal to a twin built the same way and hashes as
 the tuple of its field values; its repr is ``Name(field=value, ...)``
 (``Gf2Poly`` keeps its own short form); it has fixed slots and no
 ``__dict__``; every class refuses to assign or delete a field; and ``copy.deepcopy`` and ``pickle`` give back an equal value.
+A slot named with a leading ``_`` is a cache, not a field: a row whose
+facts were read is still equal to, hashes and prints as, and copies like
+a fresh twin.
 """
 
 from __future__ import annotations
@@ -28,14 +31,21 @@ from qccdts import (
     verify_pair,
 )
 from qccdts.cli import _code_input
+from qccdts.csoc import memory, parity_supports
+from qccdts.distance import _causal_supports
+from qccdts.symplectic import _odd_delays
 
 
 def _x() -> PolyMatrix:
     return PolyMatrix.from_supports([(0, 1), (0, 2), (0,)])
 
 
+def _fields(cls) -> tuple[str, ...]:
+    return tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+
 def _values(value) -> tuple:
-    return tuple(getattr(value, name) for name in type(value).__slots__)
+    return tuple(getattr(value, name) for name in _fields(type(value)))
 
 
 # name -> (factory, repr); each factory builds a fresh value on every call.
@@ -158,3 +168,30 @@ def test_deepcopy_and_pickle_round_trip(record):
         assert type(twin) is type(value)
         assert twin == value
         assert repr(twin) == expected_repr
+
+
+def test_row_facts_are_caches_not_fields():
+    read, fresh = _x(), _x()
+    facts = (parity_supports, memory, is_csoc, _causal_supports, _odd_delays)
+    for fact in facts:
+        fact(read)
+    caches = [name for name in PolyMatrix.__slots__ if name.startswith("_")]
+    assert len(caches) == len(facts)
+    assert all(getattr(read, name) is not None for name in caches)
+    assert all(getattr(fresh, name) is None for name in caches)
+    assert read == fresh and hash(read) == hash(fresh) == hash(_values(fresh))
+    assert repr(read) == repr(fresh) == RECORDS["PolyMatrix"][1]
+    for twin in (
+        copy.copy(read), copy.deepcopy(read), pickle.loads(pickle.dumps(read))
+    ):
+        assert type(twin) is PolyMatrix and twin is not read
+        assert twin == read and hash(twin) == hash(read)
+        assert all(getattr(twin, name) is None for name in caches)
+        assert [fact(twin) for fact in facts] == [fact(read) for fact in facts]
+    for name in caches:
+        before = getattr(read, name)
+        with pytest.raises(AttributeError):
+            setattr(read, name, None)
+        with pytest.raises(AttributeError):
+            delattr(read, name)
+        assert getattr(read, name) is before

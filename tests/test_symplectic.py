@@ -186,11 +186,11 @@ class TestSumIndexMatrix:
 
 
 class TestOddDelayMemo:
-    """Every fact of a row, its odd-occupancy delays among them, is read
-    from one memo keyed by identity (``gf2poly._row_facts``): switching
-    rows on every call, or checking rows from several threads, must not
-    leak one row's facts into another's answers, and a row that fails a
-    check must fail it on every call."""
+    """Every fact of a row, its odd-occupancy delays among them, is kept
+    in the row's own cache slots: switching rows on every call, or
+    checking rows from several threads, must not leak one row's facts
+    into another's answers, and a row that fails a check must fail it on
+    every call."""
 
     @staticmethod
     def _columns_holding_half(x: PolyMatrix, s: int) -> int:
