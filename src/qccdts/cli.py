@@ -7,13 +7,13 @@ inconsistent built-in catalogue), reported as one ``internal error:`` line.
 A reader that closes stdout early (``qccdts search ... | head``) ends the
 command quietly with exit 0.
 
-``main`` parses ``qccdts <command> ...`` with that command's parser alone.
-The full tree of all six commands is used only when there is no
-argument or the first is not a command (``-h``, ``--help``, ``--version``,
-a typo), and to report arguments the command's parser leaves over, so
-those messages keep the top-level usage line. Each parser is built on
-first use and shared by every later ``main`` call in the process, so a
-caller must not mutate one.
+``main`` parses ``qccdts <command> ...`` with that command's subparser
+of the full tree, the parser ``build_parser`` returns. The tree itself
+parses when there is no argument or the first is not a command (``-h``,
+``--help``, ``--version``, a typo), and reports the arguments a
+subparser leaves over, so those messages keep the top-level usage line.
+The tree is built on first use and shared by every later ``main`` call
+in the process, so a caller must not mutate it.
 
 Input JSON schema (all commands that take ``--input``):
 
@@ -599,39 +599,16 @@ _COMMANDS = {
 }
 
 
-def _fill(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Give ``p`` the arguments of command ``name``; parsing names it ``command``.
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The full tree: the top-level parser with all six subparsers.
 
-    The parser holds no handler, so a shared parser cannot outlive a
+    It is built on first use and returned to every later caller, so
+    callers must not add arguments to it or change its defaults. Its
+    ``commands`` attribute maps each command's name to its subparser.
+    A subparser holds no handler, so a shared tree cannot outlive a
     change to ``_COMMANDS``: ``main`` looks the handler up there.
     """
-    _, configure, _ = _COMMANDS[name]
-    configure(p)
-    p.set_defaults(command=name)
-    return p
-
-
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser for ``argv``, built on first use and shared afterwards.
-
-    When ``argv[0]`` names a command, this is that command's parser alone,
-    a standalone ``qccdts <command>`` parser for ``argv[1:]``, just as the
-    full tree would build it. Otherwise (``argv`` empty or None, ``-h``,
-    ``--help``, ``--version``, a typo) it is the full tree: the top-level
-    parser with all six subparsers, which help and usage list.
-
-    Each of these seven parsers is built once per process and returned
-    to every later caller, so callers must not add arguments to it or
-    change its defaults.
-    """
-    return _parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-
-
-@functools.cache
-def _parser(command: str | None) -> argparse.ArgumentParser:
-    """``command``'s parser, or the full tree for None; see ``build_parser``."""
-    if command is not None:
-        return _fill(argparse.ArgumentParser(prog=f"qccdts {command}"), command)
     parser = argparse.ArgumentParser(
         prog="qccdts",
         description=(
@@ -641,20 +618,24 @@ def _parser(command: str | None) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in _COMMANDS.items():
-        _fill(sub.add_parser(name, help=help_text), name)
+    for name, (help_text, configure, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        configure(p)
+        p.set_defaults(command=name)
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
     if argv and argv[0] in _COMMANDS:
-        args, extra = build_parser(argv).parse_known_args(argv[1:])
+        args, extra = parser.commands[argv[0]].parse_known_args(argv[1:])
         if extra:
             # The full tree reports them, with its usage line, and exits 2.
-            args = build_parser().parse_args(argv)
+            args = parser.parse_args(argv)
     else:
-        args = build_parser(argv).parse_args(argv)
+        args = parser.parse_args(argv)
     try:
         code = _COMMANDS[args.command][2](args)
         sys.stdout.flush()

@@ -900,11 +900,11 @@ def test_usage_matches_recording(capsys, monkeypatch, case):
     )
 
 
-# Argument vectors that `main` parses with one command's parser alone must
+# Argument vectors that `main` parses with a command's subparser alone must
 # parse as the full tree parses them. The corpus holds abbreviations,
 # `--opt=value`, `--`, `-h` after options, `--version` after a command,
 # repeated, conflicting and unknown options, extra and missing positionals
-# and values, for every command, and the argv that build the full tree.
+# and values, for every command, and the argv the tree itself parses.
 PARSER_CORPUS = [
     ["build", "--input", "in.json"],
     ["build", "--inp", "in.json", "--json"],
@@ -997,23 +997,33 @@ def test_main_parses_as_the_full_tree(capsys, monkeypatch, argv):
     assert got == want
 
 
-def test_command_parser_stands_alone():
-    parser = cli.build_parser(["verify"])
-    assert parser.prog == "qccdts verify"
-    assert not any(
-        isinstance(action, argparse._SubParsersAction) for action in parser._actions
-    )
-
-
-@pytest.mark.parametrize("argv", [None, [], ["-h"], ["--version"], ["ver"]], ids=str)
-def test_full_tree_lists_every_command(argv):
-    parser = cli.build_parser(argv)
-    assert parser.prog == "qccdts"
+def _tree_subparsers() -> dict[str, argparse.ArgumentParser]:
     (sub,) = [
-        action for action in parser._actions
+        action for action in cli.build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     ]
-    assert list(sub.choices) == [
+    return sub.choices
+
+
+def test_main_parses_a_command_with_the_tree_subparser(
+    capsys, monkeypatch, example_input
+):
+    parsed_by = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def recording(self, *args, **kwargs):
+        parsed_by.append(self)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+    assert main(["verify", "--input", example_input]) == 0
+    assert parsed_by == [_tree_subparsers()["verify"]]
+
+
+def test_full_tree_lists_every_command():
+    parser = cli.build_parser()
+    assert parser.prog == "qccdts"
+    assert list(_tree_subparsers()) == [
         "build", "reflect", "verify", "distance", "tables", "search",
     ]
 
@@ -1028,7 +1038,8 @@ def _outcome(capsys, argv) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-def test_a_command_builds_one_parser(capsys, monkeypatch, example_input):
+def test_one_tree_serves_every_call(capsys, monkeypatch, example_input):
+    monkeypatch.setenv("COLUMNS", "80")
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -1037,14 +1048,25 @@ def test_a_command_builds_one_parser(capsys, monkeypatch, example_input):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    cli._parser.cache_clear()
-    assert main(["search", "2", "2", "5"]) == 0
-    assert built == ["qccdts search"]
-    assert capsys.readouterr().out  # the families were printed
-    assert main(["search", "2", "2", "5"]) == 0
-    assert built == ["qccdts search"]  # the second search reuses the parser
-    assert main(["verify", "--input", example_input]) == 0
-    assert built == ["qccdts search", "qccdts verify"]
+    tree = ["qccdts"] + [f"qccdts {name}" for name in cli._COMMANDS]
+    calls = [
+        ["search", "2", "2", "5"], ["verify", "--input", example_input],
+        ["build", "--input", example_input], ["reflect", "--input", example_input],
+        ["distance", "--input", example_input], ["tables", "--row", "1"],
+        ["-h"], ["verify", "-h"], ["--version"], ["ver"], [],
+        ["verify", "--input", example_input, "extra"],
+    ]
+    # The first call of any kind builds the tree, and every later call,
+    # of any kind, reuses it.
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        built.clear()
+        _outcome(capsys, argv)
+        assert built == tree, argv
+    built.clear()
+    for argv in calls:
+        _outcome(capsys, argv)
+    assert built == []
 
 
 def test_shared_parsers_leak_no_state(capsys, monkeypatch, tmp_path, example_input):
@@ -1056,7 +1078,7 @@ def test_shared_parsers_leak_no_state(capsys, monkeypatch, tmp_path, example_inp
     ))
     # Within a group the options differ and so do the outputs. The plain
     # `reflect` reads the file's 1-based convention right after --zero-based,
-    # and the last group runs the full tree between the command parsers.
+    # and the last group parses with the tree itself between the commands.
     groups = [
         [["verify", "--input", example_input, "--json"],
          ["verify", "--input", example_input]],
@@ -1073,14 +1095,14 @@ def test_shared_parsers_leak_no_state(capsys, monkeypatch, tmp_path, example_inp
     commands = [argv for group in groups for argv in group]
     alone = {}
     for argv in commands:
-        cli._parser.cache_clear()
+        cli.build_parser.cache_clear()
         alone[tuple(argv)] = _outcome(capsys, argv)
     for group in groups:
         assert len({alone[tuple(argv)] for argv in group}) == len(group)
 
-    # Forward, backward and forward again: each parser is reused after a run
-    # with other options, and after the other parsers.
-    cli._parser.cache_clear()
+    # Forward, backward and forward again: each subparser is reused after a
+    # run with other options, and after the other subparsers.
+    cli.build_parser.cache_clear()
     for argv in commands + commands[::-1] + commands:
         assert _outcome(capsys, argv) == alone[tuple(argv)], argv
 
@@ -1097,9 +1119,9 @@ def test_help_width_is_read_per_command(capsys, monkeypatch):
     # `-h` prints what the recorded `--help` prints.
     (case,) = [c for c in USAGE_CASES if c["argv"] == ["verify", "--help"]]
     recorded = (case["exit"], case["stdout"], case["stderr"])
-    cli._parser.cache_clear()
+    cli.build_parser.cache_clear()
     monkeypatch.setenv("COLUMNS", "40")
-    narrow = _outcome(capsys, ["verify", "-h"])  # builds the parser
+    narrow = _outcome(capsys, ["verify", "-h"])  # builds the tree
     assert narrow != recorded
     monkeypatch.setenv("COLUMNS", "80")
     assert _outcome(capsys, ["verify", "-h"]) == recorded

@@ -64,29 +64,20 @@ _BUFFERED_LOOP = '''\
     yield from run
 '''
 
-# cli._parser's cache, and the mutant of it that files the full tree under
-# the key of the `verify` parser, so whichever of the two is built first
-# is returned for both.
-_PARSER_CACHE = '''\
+# cli.build_parser's cache, and the mutant of it that keeps the name
+# cache_clear but builds the tree again on every call.
+_TREE_CACHE = '''\
 @functools.cache
-def _parser(command: str | None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
 '''
-_ONE_KEY_CACHE = '''\
-def _one_key(build):
-    memo = {}
-
-    def parser(command):
-        key = command or "verify"
-        if key not in memo:
-            memo[key] = build(command)
-        return memo[key]
-
-    parser.cache_clear = memo.clear
-    return parser
+_NO_CACHE = '''\
+def _rebuilt(build):
+    build.cache_clear = lambda: None
+    return build
 
 
-@_one_key
-def _parser(command: str | None) -> argparse.ArgumentParser:
+@_rebuilt
+def build_parser() -> argparse.ArgumentParser:
 '''
 
 # (name, module, old text or texts, new text or texts, test files)
@@ -243,32 +234,39 @@ MUTANTS = [
         "",
         ("tests/test_cli.py",),
     ),
-    # The parsers cli.build_parser builds once per process.
+    # The tree cli.build_parser builds once per process, and main's parse.
     (
         "handler stored in the cached parser",
         "cli.py",
         (
-            "    p.set_defaults(command=name)\n",
+            "        p.set_defaults(command=name)\n",
             "        code = _COMMANDS[args.command][2](args)\n",
         ),
         (
-            "    p.set_defaults(func=_COMMANDS[name][2], command=name)\n",
+            "        p.set_defaults(func=_COMMANDS[name][2], command=name)\n",
             "        code = args.func(args)\n",
         ),
         ("tests/test_cli.py",),
     ),
     (
-        "full tree cached under a command's key",
+        "tree rebuilt on every call",
         "cli.py",
-        _PARSER_CACHE,
-        _ONE_KEY_CACHE,
+        _TREE_CACHE,
+        _NO_CACHE,
         ("tests/test_cli.py",),
     ),
     (
         "full tree with one subparser",
         "cli.py",
-        "    for name, (help_text, _, _) in _COMMANDS.items():\n",
-        "    for name, (help_text, _, _) in list(_COMMANDS.items())[:1]:\n",
+        "    for name, (help_text, configure, _) in _COMMANDS.items():\n",
+        "    for name, (help_text, configure, _) in list(_COMMANDS.items())[:1]:\n",
+        ("tests/test_cli.py",),
+    ),
+    (
+        "main parses a command with the full tree",
+        "cli.py",
+        "        args, extra = parser.commands[argv[0]].parse_known_args(argv[1:])\n",
+        "        args, extra = parser.parse_known_args(argv)\n",
         ("tests/test_cli.py",),
     ),
     # FULL_STRONG by count in dts.search_strong_dts.
