@@ -1020,8 +1020,23 @@ def test_main_parses_a_command_with_the_tree_subparser(
     assert parsed_by == [_tree_subparsers()["verify"]]
 
 
-def test_full_tree_lists_every_command():
+@pytest.mark.parametrize("argv", [None, [], ["-h"], ["--version"], ["ver"]], ids=str)
+def test_full_tree_lists_every_command(capsys, monkeypatch, argv):
+    # An argv that names no command is parsed by the full tree itself.
+    monkeypatch.setattr(sys, "argv", ["qccdts"])
+    parsed_by = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def recording(self, *args, **kwargs):
+        parsed_by.append(self)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+    with pytest.raises(SystemExit):
+        main(argv)
+    capsys.readouterr()
     parser = cli.build_parser()
+    assert parsed_by[0] is parser
     assert parser.prog == "qccdts"
     assert list(_tree_subparsers()) == [
         "build", "reflect", "verify", "distance", "tables", "search",
