@@ -58,7 +58,7 @@ from .distance import (
 from .dts import (
     DtsClass, DtsFamily, _check_search_args, classify, search_strong_dts,
 )
-from .gf2poly import ONE, Gf2Poly, PolyMatrix, _Record, _setattr
+from .gf2poly import ONE, Gf2Poly, PolyMatrix, _Record
 from .reflect import _check_permutation, build_z, identity_permutation, verify_pair
 from .tables import rows_for, validate_tables
 
@@ -76,22 +76,6 @@ class CodeInput(_Record):
     """A parsed code description."""
 
     __slots__ = ("family", "z_sets", "pi", "expected_m", "expected_w", "notes")
-
-    def __init__(
-        self,
-        family: DtsFamily,
-        z_sets: tuple[tuple[int, ...], ...] | None,
-        pi: tuple[int, ...] | None,
-        expected_m: int | None,
-        expected_w: int | None,
-        notes: tuple[str, ...],
-    ) -> None:
-        _setattr(self, "family", family)
-        _setattr(self, "z_sets", z_sets)
-        _setattr(self, "pi", pi)
-        _setattr(self, "expected_m", expected_m)
-        _setattr(self, "expected_w", expected_w)
-        _setattr(self, "notes", notes)
 
 
 # The JSON name of each type json.load produces, for error messages.

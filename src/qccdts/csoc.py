@@ -15,7 +15,7 @@ command on one row are lookups.
 
 from __future__ import annotations
 
-from .dts import DifferenceCollision, DtsFamily, repeated_differences
+from .dts import DtsFamily, repeated_differences
 from .gf2poly import ONE, Gf2Poly, PolyMatrix, _Record, _setattr
 
 
@@ -23,10 +23,6 @@ class CsocReport(_Record):
     """Outcome of the self-orthogonality test on a systematic parity row."""
 
     __slots__ = ("ok", "collisions")
-
-    def __init__(self, ok: bool, collisions: tuple[DifferenceCollision, ...]) -> None:
-        _setattr(self, "ok", ok)
-        _setattr(self, "collisions", collisions)
 
 
 def build_systematic_x(family: DtsFamily) -> PolyMatrix:

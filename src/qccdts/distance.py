@@ -60,9 +60,6 @@ MAX_EXACT_BUDGET = 6
 MAX_EXACT_MEMORY = 12
 MAX_WINDOW_BITS = 45
 
-Frame = tuple[int, ...]
-Witness = tuple[tuple[int, Frame], ...]
-
 
 class Method(enum.Enum):
     EXACT_SEARCH = "exact_search"
@@ -83,15 +80,6 @@ class DistanceCertificate(_Record):
     """
 
     __slots__ = ("d_free", "method", "witness", "search_budget")
-
-    def __init__(
-        self, d_free: int, method: Method, witness: Witness,
-        search_budget: int | None = None,
-    ) -> None:
-        _setattr(self, "d_free", d_free)
-        _setattr(self, "method", method)
-        _setattr(self, "witness", witness)
-        _setattr(self, "search_budget", search_budget)
 
 
 def _causal_supports(x: PolyMatrix) -> tuple[tuple[int, ...], ...]:
@@ -257,6 +245,7 @@ def dfree_upper(x: PolyMatrix) -> DistanceCertificate:
         d_free=weights[stream] + 1,
         method=Method.UPPER_BOUND,
         witness=witness,
+        search_budget=None,
     )
 
 

@@ -44,7 +44,7 @@ import enum
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
 
-from .gf2poly import _Record, _setattr
+from .gf2poly import _Record
 
 
 class DtsClass(enum.IntEnum):
@@ -99,10 +99,6 @@ class DifferenceCollision(_Record):
 
     __slots__ = ("difference", "entries")
 
-    def __init__(self, difference: int, entries: tuple[int, ...]) -> None:
-        _setattr(self, "difference", difference)
-        _setattr(self, "entries", entries)
-
     def __str__(self) -> str:
         where = ", ".join(f"entry {e}" for e in self.entries)
         return f"difference {self.difference} repeats ({where})"
@@ -146,13 +142,6 @@ class DtsFamily(_Record):
     """
 
     __slots__ = ("sets", "classification", "budget")
-
-    def __init__(
-        self, sets: tuple[tuple[int, ...], ...], classification: DtsClass, budget: int | None
-    ) -> None:
-        _setattr(self, "sets", sets)
-        _setattr(self, "classification", classification)
-        _setattr(self, "budget", budget)
 
     @property
     def size(self) -> int:

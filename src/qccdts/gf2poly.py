@@ -32,12 +32,13 @@ _INT_ONLY = frozenset((int,))
 class _Record:
     """Base of the package's immutable value classes.
 
-    A subclass names its fields in ``__slots__``, in order, and sets them
-    in its own ``__init__`` with ``object.__setattr__``. It then compares
-    equal to a value of the same class with equal fields, hashes as the
-    tuple of its field values, prints as ``Name(field=value, ...)``, and
-    refuses to assign or delete a field. ``copy`` and ``pickle`` rebuild
-    it through ``__init__``, so a copy passes the same checks.
+    A subclass writes only ``__slots__``, naming its fields in order; unless
+    it defines its own ``__init__``, the base writes one that takes the
+    fields in that order and stores each. A record compares equal to a
+    value of the same class with equal fields, hashes as the tuple of its
+    field values, prints as ``Name(field=value, ...)``, and refuses to
+    assign or delete a field. ``copy`` and ``pickle`` rebuild it through
+    ``__init__``, so a copy passes the same checks.
 
     A slot whose name starts with ``_`` is a cache, not a field: equality,
     hashing, the repr and ``copy``/``pickle`` leave it out, so a copy
@@ -48,6 +49,8 @@ class _Record:
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple([n for n in cls.__slots__ if not n.startswith("_")])
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _written_init(cls)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -74,6 +77,19 @@ class _Record:
 
     def __reduce__(self):
         return self.__class__, self._values()
+
+
+def _written_init(cls: type):
+    """A record's ``__init__(self, <fields>)``, one ``_setattr`` per field."""
+    fields = cls._fields
+    stores = "".join(f"\n    _setattr(self, {n!r}, {n})" for n in fields)
+    source = f"def __init__(self, {', '.join(fields)}):{stores}\n"
+    qualname = f"{cls.__qualname__}.__init__"
+    namespace = {"_setattr": _setattr}
+    exec(compile(source, f"<{qualname}>", "exec"), namespace)
+    init = namespace["__init__"]
+    init.__qualname__, init.__module__ = qualname, cls.__module__
+    return init
 
 
 class Gf2Poly(_Record):

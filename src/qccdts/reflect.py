@@ -27,9 +27,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .csoc import is_csoc, memory, parity_supports
-from .distance import DistanceCertificate, certify_dfree
+from .distance import certify_dfree
 from .dts import _below_dts, _members
-from .gf2poly import ONE, PolyMatrix, _Record, _setattr
+from .gf2poly import ONE, PolyMatrix, _Record
 from .symplectic import check_reflection_symmetry, is_commuting
 
 
@@ -72,20 +72,6 @@ class VerifyReport(_Record):
     """
 
     __slots__ = ("checks", "violations", "memory_x", "memory_z", "certificate")
-
-    def __init__(
-        self,
-        checks: dict[str, bool],
-        violations: tuple[tuple[str, str], ...],
-        memory_x: int,
-        memory_z: int,
-        certificate: DistanceCertificate | None,
-    ) -> None:
-        _setattr(self, "checks", checks)
-        _setattr(self, "violations", violations)
-        _setattr(self, "memory_x", memory_x)
-        _setattr(self, "memory_z", memory_z)
-        _setattr(self, "certificate", certificate)
 
 
 def verify_pair(

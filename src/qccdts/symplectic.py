@@ -55,12 +55,6 @@ class SymplecticReport(_Record):
 
     __slots__ = ("commuting", "violations")
 
-    def __init__(
-        self, commuting: bool, violations: tuple[tuple[int, int, int], ...]
-    ) -> None:
-        _setattr(self, "commuting", commuting)
-        _setattr(self, "violations", violations)
-
 
 def symplectic_sum(x: PolyMatrix, z: PolyMatrix) -> PolyMatrix:
     """X(D) Z(D^-1)^T + Z(D) X(D^-1)^T as a 1 x 1 Laurent polynomial matrix.
@@ -136,10 +130,6 @@ class ReflectionSymmetryReport(_Record):
     """The A7 verdict and, on failure, its first witness (s, 1, 1)."""
 
     __slots__ = ("ok", "counterexample")
-
-    def __init__(self, ok: bool, counterexample: tuple[int, int, int] | None) -> None:
-        _setattr(self, "ok", ok)
-        _setattr(self, "counterexample", counterexample)
 
 
 def check_reflection_symmetry(

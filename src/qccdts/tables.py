@@ -15,9 +15,7 @@ check relies on.
 from __future__ import annotations
 
 from .dts import from_one_based
-from .gf2poly import _Record, _setattr
-
-Sets = tuple[tuple[int, ...], ...]
+from .gf2poly import _Record
 
 
 class TableRow(_Record):
@@ -30,20 +28,6 @@ class TableRow(_Record):
     __slots__ = (
         "table_id", "row_no", "rate_label", "m", "w", "t_sets", "z_sets", "g_x", "g_z",
     )
-
-    def __init__(
-        self, table_id: int, row_no: int, rate_label: str, m: int, w: int,
-        t_sets: Sets, z_sets: Sets, g_x: Sets, g_z: Sets,
-    ) -> None:
-        _setattr(self, "table_id", table_id)
-        _setattr(self, "row_no", row_no)
-        _setattr(self, "rate_label", rate_label)
-        _setattr(self, "m", m)
-        _setattr(self, "w", w)
-        _setattr(self, "t_sets", t_sets)
-        _setattr(self, "z_sets", z_sets)
-        _setattr(self, "g_x", g_x)
-        _setattr(self, "g_z", g_z)
 
 
 TABLE_ROWS: tuple[TableRow, ...] = (

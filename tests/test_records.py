@@ -1,4 +1,4 @@
-"""The value semantics of the package's eleven record classes, pinned.
+"""The value semantics of the package's record classes, pinned.
 
 Each record compares equal to a twin built the same way and hashes as
 the tuple of its field values; its repr is ``Name(field=value, ...)``
@@ -6,12 +6,15 @@ the tuple of its field values; its repr is ``Name(field=value, ...)``
 ``__dict__``; every class refuses to assign or delete a field; and ``copy.deepcopy`` and ``pickle`` give back an equal value.
 A slot named with a leading ``_`` is a cache, not a field: a row whose
 facts were read is still equal to, hashes and prints as, and copies like
-a fresh twin.
+a fresh twin. Every record but ``Gf2Poly`` and ``PolyMatrix``, which
+check their inputs, takes its fields in slot order through the
+``__init__`` that ``_Record`` writes for it.
 """
 
 from __future__ import annotations
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -33,6 +36,7 @@ from qccdts import (
 from qccdts.cli import _code_input
 from qccdts.csoc import memory, parity_supports
 from qccdts.distance import _causal_supports
+from qccdts.gf2poly import _Record
 from qccdts.symplectic import _odd_delays
 
 
@@ -119,6 +123,9 @@ RECORDS = {
 # VerifyReport holds a dict, so it cannot be hashed.
 UNHASHABLE = {"VerifyReport"}
 
+# The records that check their inputs in an __init__ of their own.
+CHECKING = {"Gf2Poly", "PolyMatrix"}
+
 
 @pytest.fixture(params=sorted(RECORDS), ids=str)
 def record(request):
@@ -127,7 +134,29 @@ def record(request):
 
 
 def test_every_record_class_is_covered():
-    assert len(RECORDS) == 11
+    assert sorted(cls.__qualname__ for cls in _Record.__subclasses__()) == sorted(RECORDS)
+
+
+def test_only_the_checking_records_write_their_own_init():
+    for cls in _Record.__subclasses__():
+        filename = cls.__init__.__code__.co_filename
+        written = filename == f"<{cls.__qualname__}.__init__>"
+        assert written is (cls.__qualname__ not in CHECKING), filename
+
+
+@pytest.mark.parametrize("name", sorted(set(RECORDS) - CHECKING))
+def test_written_init_takes_the_fields_in_slot_order(name):
+    value = RECORDS[name][0]()
+    cls, values = type(value), _values(value)
+    assert tuple(inspect.signature(cls).parameters) == cls._fields == _fields(cls)
+    assert cls.__init__.__qualname__ == f"{name}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
+    assert cls(*values) == value
+    assert cls(**dict(zip(cls._fields, values))) == value
+    with pytest.raises(TypeError, match=rf"^{name}\.__init__\(\) missing 1 required"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match=rf"^{name}\.__init__\(\) takes"):
+        cls(*values, None)
 
 
 def test_twin_compares_and_hashes_equal(record):

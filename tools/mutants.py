@@ -11,15 +11,17 @@ copies the repository (without ``.git`` and caches) to a temporary
 directory and first runs each named group of test files on the unmutated
 copy, which must pass. Then, one mutant at a time, it writes the mutated
 module into the copy, runs ``pytest -x -q`` on the mutant's test files
-and restores the module. A mutant is ``killed`` when the tests fail or time out, and ``SURVIVED``
-when they pass. A record whose text does not occur exactly once, or
-whose mutated module does not compile, is an error, never a kill, and so
-is a failing unmutated run.
+and restores the module. A mutant is ``killed`` when the tests fail or
+time out, and ``SURVIVED`` when they pass. A broken record (see
+``broken_records``) is an error, never a kill, and so is a failing
+unmutated run.
 
 Exit status: 0 when every mutant is killed, 1 when one survives, 2 on a
 broken record or a failing unmutated run. It uses only the standard
-library and pytest; no test suite runs it. A change that mends or adds a
-mutant records it here rather than describing it in prose.
+library and pytest. ``tests/test_mutants.py`` checks every record with
+``broken_records`` but runs no mutant, so the gate itself stays a hand
+run. A change that mends or adds a mutant records it here rather than
+describing it in prose.
 """
 
 from __future__ import annotations
@@ -695,6 +697,28 @@ MUTANTS = [
         "        object.__setattr__(self, name, value)",
         ("tests/test_records.py",),
     ),
+    # The __init__ that _Record writes from a record's __slots__.
+    (
+        "written __init__ leaves out a field",
+        "gf2poly.py",
+        "for n in fields)",
+        "for n in fields[:-1])",
+        ("tests/test_records.py",),
+    ),
+    (
+        "written __init__ replaces the checking constructors",
+        "gf2poly.py",
+        '        if "__init__" not in cls.__dict__:\n',
+        "        if True:\n",
+        ("tests/test_gf2poly.py", "tests/test_records.py"),
+    ),
+    (
+        "written __init__ swaps two parameters",
+        "gf2poly.py",
+        "{', '.join(fields)}",
+        "{', '.join(fields[1::-1] + fields[2:])}",
+        ("tests/test_records.py",),
+    ),
 ]
 
 
@@ -709,6 +733,30 @@ def _mutate(source: str, edits: list[tuple[str, str]]) -> str:
     for before, after in edits:
         source = source.replace(before, after)
     return source
+
+
+def broken_records(records: list[tuple]) -> list[str]:
+    """Why each broken record is broken, empty when none is.
+
+    A record is broken when its name repeats, when one of its texts does
+    not occur exactly once in its module, or when its mutated module does
+    not compile.
+    """
+    names = [name for name, *_ in records]
+    broken = [f"{name}: named {names.count(name)} times"
+              for name in sorted(set(names)) if names.count(name) > 1]
+    for name, module, old, new, _ in records:
+        source = (ROOT / "src" / "qccdts" / module).read_text()
+        edits = _edits(old, new)
+        counts = [source.count(before) for before, _ in edits]
+        if counts != [1] * len(edits):
+            broken.append(f"{name}: texts occur {counts} times in {module}")
+            continue
+        try:
+            compile(_mutate(source, edits), module, "exec")
+        except SyntaxError as exc:
+            broken.append(f"{name}: mutated {module} does not compile: {exc}")
+    return broken
 
 
 def _pytest(tree: Path, tests: tuple[str, ...]) -> tuple[int | None, float]:
@@ -740,18 +788,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     chosen = [m for m in MUTANTS if not args.names or m[0] in args.names]
 
-    broken = []
-    for name, module, old, new, _ in chosen:
-        source = (ROOT / "src" / "qccdts" / module).read_text()
-        edits = _edits(old, new)
-        counts = [source.count(before) for before, _ in edits]
-        if counts != [1] * len(edits):
-            broken.append(f"{name}: texts occur {counts} times in {module}")
-            continue
-        try:
-            compile(_mutate(source, edits), module, "exec")
-        except SyntaxError as exc:
-            broken.append(f"{name}: mutated {module} does not compile: {exc}")
+    broken = broken_records(chosen)
     if broken:
         print("error: broken records\n  " + "\n  ".join(broken), file=sys.stderr)
         return 2
