@@ -30,13 +30,26 @@ one path of the subtree that the weight bound leaves unpruned, so every
 result is unchanged; on Z of catalogue rows 3.3 and 3.4 it cuts the
 search nodes from about 350,000 to 24,000.
 
-A column distance whose seed, the lightest truncated impulse, is 1 or 2
-needs no search. Every window codeword weighs at least 1, and one of
-weight 1 is a single first-frame bit on a stream with no tap at delay
-<= j, which makes the seed 1; so a seed of 2 is the minimum too
-(definitions as in Johannesson & Zigangirov, Fundamentals of
-Convolutional Coding, 1999). Most profile calls return this way. The
-free-distance search has no such shortcut: there a weight-1 codeword
+A column distance needs no search when its seed, the lightest truncated
+impulse 1 + min_i t_i(j), is 1 or 2, or when the row is CSOC; t_i(j)
+counts the taps of stream i at delay <= j (definitions as in Johannesson
+& Zigangirov, Fundamentals of Convolutional Coding, 1999). Every window
+codeword weighs at least 1, and one of weight 1 is a single first-frame
+bit on a stream with no tap at delay <= j, which makes the seed 1; so a
+seed of 2 is the minimum too. On a CSOC row the parity checks orthogonal
+on each information bit (Massey, Threshold Decoding, 1963), cut to the
+window, bound every window from below. A window codeword with a nonzero
+first block has u_i(0) = 1 on some stream i, and it meets the t_i(j)
+parity checks at the times a <= j of stream i's taps. Each of these
+checks holds u_i(0), and since the supports form a DTS no two of them
+share any other position: checks at times a and a' sharing a bit at
+time a - m = a' - m' would repeat the difference a - a' = m - m'. Every
+check sums to zero, so each needs its own second 1 inside the window,
+and the window weighs at least 1 + t_i(j), which is at least the seed.
+The truncated impulse on the lightest stream meets the bound, so the
+seed is the column distance. A non-CSOC row is searched whenever its
+seed is 3 or more, because some of its windows weigh less than the seed.
+The free-distance search has no such shortcut: there a weight-1 codeword
 needs a stream whose polynomial is zero.
 
 Every entry point rejects a row with a negative exponent (a Laurent
@@ -197,12 +210,23 @@ def column_distance(h: PolyMatrix, j: int) -> int:
     """Minimum weight over window-[0..j] codewords with a nonzero first block.
 
     Exact: the seed is the lightest truncated impulse (one bit on a stream
-    at time 0 and its parity taps at delays <= j). A seed of 1 or 2 is
-    returned as it is: a window of weight 1 is such an impulse on a stream
-    with no tap at delay <= j, whose seed is 1, so no window is lighter
-    than a seed of 2 either. Otherwise the search starts from the seed and
-    visits every window that could be lighter. A window of j frames looks
-    back at most j frames, so the register holds min(mu, j) of them.
+    at time 0 and its parity taps at delays <= j), 1 + min_i t_i(j) with
+    t_i(j) the number of taps of stream i at delay <= j. The seed is
+    returned as it is in two cases:
+
+    - It is 1 or 2. A window of weight 1 is such an impulse on a stream
+      with no tap at delay <= j, whose seed is 1, so no window is lighter
+      than a seed of 2 either.
+    - The row is CSOC. A window with u_i(0) = 1 meets the t_i(j) parity
+      checks at the times a <= j of stream i's taps. Each holds u_i(0),
+      and on a DTS no two share any other position, so each needs its
+      own second 1 inside the window: the window weighs at least
+      1 + t_i(j), which is at least the seed.
+
+    Otherwise the search starts from the seed and visits every window that
+    could be lighter, since a non-CSOC row may have some. A window of j
+    frames looks back at most j frames, so the register holds min(mu, j)
+    of them. The CSOC verdict is the one kept on the row.
     """
     supports = _causal_supports(h)
     if j < 0:
@@ -214,7 +238,7 @@ def column_distance(h: PolyMatrix, j: int) -> int:
             f"bits exceeds {MAX_WINDOW_BITS}"
         )
     seed = 1 + min(map(bisect_right, supports, repeat(j)))
-    if seed <= 2:
+    if seed <= 2 or is_csoc(h).ok:
         return seed
     return _lightest(supports, min(memory(h), j), j, seed, window=True)
 

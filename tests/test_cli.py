@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qccdts import cli, dts, reflect
+from qccdts import cli, distance, dts, reflect
 from qccdts import csoc as csoc_module
 from qccdts.cli import main
 from qccdts.csoc import is_csoc, memory, parity_supports
@@ -703,6 +703,31 @@ class TestDistance:
             assert (code, err) == (0, "")
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+    def test_deep_csoc_profile_needs_no_search(self, capsys, monkeypatch, tmp_path):
+        # The first (2, 4, 30) strong family: 17 of its 22 profile entries
+        # have a seed of 3 or 4, and each is that seed with no window
+        # searched. The stdout was recorded while every such entry still
+        # ran the search.
+        windows = []
+        real = distance._lightest
+
+        def counted(*args, window):
+            windows.append(window)
+            return real(*args, window=window)
+
+        monkeypatch.setattr(distance, "_lightest", counted)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"T": [[0, 1, 3, 7], [0, 5, 13, 22]], "one_based": False}))
+        code, out, err = run_cli(capsys, "distance", "--json", "--input", str(path))
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"d_free": 5, "method": "csoc_certificate", "witness": [[0, [1, 0, 1]], '
+            '[1, [0, 0, 1]], [3, [0, 0, 1]], [7, [0, 0, 1]]], "column_distances": '
+            "[2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4, 4], "
+            '"warnings": []}\n'
+        )
+        assert True not in windows
 
     @pytest.mark.parametrize(
         "case", DISTANCE_CASES, ids=[case["name"] for case in DISTANCE_CASES]

@@ -274,8 +274,9 @@ class TestColumnDistance:
         assert column_distance(x, j) == _column_distance_bruteforce(x, j)
 
     def test_seed_below_three_skips_the_search(self, monkeypatch):
-        # A seed of 1 or 2 is the column distance itself, so neither the
-        # register's memory nor the search is needed for it.
+        # A seed of 1 or 2 is the column distance itself, and so is every
+        # seed on a CSOC row, so neither the register's memory nor the
+        # search is needed for them.
         calls = {"_lightest": 0, "memory": 0}
 
         def count(name):
@@ -293,18 +294,62 @@ class TestColumnDistance:
         rows = [
             _random_row(rng, rng.randint(1, 3), rng.randint(0, 8)) for _ in range(40)
         ]
-        searched = 0
+        searched = shortcut = 0
         for x in rows:
+            csoc = is_csoc(x).ok
             for j in range(12 // (x.ncols - 1)):
-                before = calls["_lightest"]
+                before = dict(calls)
                 got = column_distance(x, j)
                 assert got == _column_distance_bruteforce(x, j)
                 seed = _truncated_impulse(x, j)
-                assert calls["_lightest"] - before == (seed >= 3), (x, j, seed)
-                searched += seed >= 3
+                search = seed >= 3 and not csoc
+                assert calls["_lightest"] - before["_lightest"] == search, (x, j, seed)
+                assert calls["memory"] - before["memory"] == search, (x, j, seed)
+                searched += search
+                shortcut += seed >= 3 and csoc
         assert calls["memory"] == calls["_lightest"] == searched
-        # 294 windows, 122 of them searched.
+        # 294 windows: 34 searched, and 88 on CSOC rows with a seed >= 3.
         assert 20 <= searched <= sum(12 // (x.ncols - 1) for x in rows) - 20, searched
+        assert shortcut >= 60, shortcut
+
+    def test_csoc_seed_matches_the_search(self):
+        # Every window of j = 0..2M within MAX_WINDOW_BITS, on X and Z of
+        # the catalogue, seeded strong families and seeded non-CSOC rows:
+        # column_distance against the search started from a bound above
+        # any window's weight, and against brute force on small windows.
+        rng = random.Random(3434)
+        csoc_rows = [
+            _row(*sets, (0,)) for row in TABLE_ROWS for sets in (row.g_x, row.g_z)
+        ]
+        for shape in ((2, 3, 12), (3, 3, 20), (4, 2, 10), (2, 4, 30), (3, 4, 40)):
+            families = list(itertools.islice(search_strong_dts(*shape), 200))
+            csoc_rows += [build_systematic_x(f) for f in rng.sample(families, 8)]
+        other_rows = []
+        while len(other_rows) < 100:
+            x = _random_row(rng, rng.randint(1, 4), rng.randint(1, 10), taps=(2, 5))
+            if not is_csoc(x).ok:
+                other_rows.append(x)
+        assert all(is_csoc(x).ok for x in csoc_rows)
+
+        def check(x):
+            supports = parity_supports(x)
+            streams = len(supports)
+            for j in range(min(2 * memory(x), MAX_WINDOW_BITS // streams - 1) + 1):
+                got = column_distance(x, j)
+                loose = (j + 1) * (streams + 1) + 1
+                frames = min(memory(x), j)
+                assert got == distance._lightest(supports, frames, j, loose, window=True)
+                if (j + 1) * streams <= 10:
+                    assert got == _column_distance_bruteforce(x, j), (x, j)
+                yield got, _truncated_impulse(x, j)
+
+        on_csoc = [entry for x in csoc_rows for entry in check(x)]
+        assert all(got == seed for got, seed in on_csoc)
+        below = sum(got < seed for x in other_rows for got, seed in check(x))
+        # 1,050 CSOC windows, 498 of them with a seed >= 3; 1,118 non-CSOC
+        # windows, 335 of them below their seed, out of the shortcut's reach.
+        assert sum(seed >= 3 for _, seed in on_csoc) >= 450
+        assert below >= 300, below
 
     def test_light_oracle_matches_bruteforce(self):
         rng = random.Random(7)
@@ -345,16 +390,19 @@ class TestColumnDistance:
     def test_far_tap_costs_no_memory(self):
         # A window of j frames never reaches a tap at delay 10^7, so the
         # search must not hold a register sized by it (45 MB if it did).
-        near = _row((0, 1, 3), (0, 4, 10**5), (0,))
-        far = _row((0, 1, 3), (0, 4, 10**7), (0,))
-        tracemalloc.start()
-        try:
-            profile = [column_distance(far, j) for j in range(8)]
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-        assert profile == [column_distance(near, j) for j in range(8)]
+        # The CSOC row returns its seeds; the other one, whose difference
+        # 1 repeats, is searched from j = 1 on.
+        for second in ((0, 4), (0, 1)):
+            near = _row((0, 1, 3), (*second, 10**5), (0,))
+            far = _row((0, 1, 3), (*second, 10**7), (0,))
+            tracemalloc.start()
+            try:
+                profile = [column_distance(far, j) for j in range(8)]
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+            assert profile == [column_distance(near, j) for j in range(8)]
 
     def test_monotone_and_bounded(self, example_x):
         cert = certify_dfree(example_x)

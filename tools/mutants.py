@@ -411,8 +411,29 @@ MUTANTS = [
     (
         "column seed of 3 returned without a search",
         "distance.py",
+        "    if seed <= 2 or is_csoc(h).ok:\n",
+        "    if seed <= 3 or is_csoc(h).ok:\n",
+        ("tests/test_distance.py",),
+    ),
+    (
+        "CSOC seed shortcut applied to every row",
+        "distance.py",
+        "    if seed <= 2 or is_csoc(h).ok:\n",
+        "    if True:\n",
+        ("tests/test_distance.py",),
+    ),
+    (
+        "CSOC seed shortcut dropped",
+        "distance.py",
+        "    if seed <= 2 or is_csoc(h).ok:\n",
         "    if seed <= 2:\n",
-        "    if seed <= 3:\n",
+        ("tests/test_distance.py",),
+    ),
+    (
+        "CSOC shortcut tests the verdict's truthiness",
+        "distance.py",
+        "    if seed <= 2 or is_csoc(h).ok:\n",
+        "    if seed <= 2 or is_csoc(h):\n",
         ("tests/test_distance.py",),
     ),
     (
