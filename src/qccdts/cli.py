@@ -121,22 +121,17 @@ def _parse_sets(raw, one_based: bool, key: str) -> tuple[tuple[int, ...], ...]:
 
 
 def _read_json(path: str):
-    """The JSON value in the file ``path``, decoded from UTF-8 once.
+    """The JSON value in the file ``path``, decoded from UTF-8 and parsed once.
 
-    A text-mode read would also turn each CRLF and lone CR into LF. JSON
-    reads all three as whitespace outside strings and rejects them inside,
-    so that changes no value and no verdict, only the positions an error
-    names. A failing text that holds a CR is parsed again, translated, so
-    its message names the positions it always named.
+    Each CRLF and lone CR becomes LF first, as a text-mode read would turn
+    them (a binary read and one decode cost less than a text-mode open).
+    JSON reads all three as whitespace outside strings and rejects them
+    inside, so that changes no value and no verdict, and an error names
+    positions in the translated text.
     """
     with open(path, "rb") as fh:
         text = fh.read().decode("utf-8")
-    try:
-        return json.loads(text)
-    except ValueError:
-        if "\r" not in text:
-            raise
-        return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
+    return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def load_code_input(path: str, one_based_override: bool | None) -> CodeInput:

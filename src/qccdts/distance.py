@@ -273,25 +273,19 @@ def dfree_upper(x: PolyMatrix) -> DistanceCertificate:
     )
 
 
-def dfree_exact(
-    x: PolyMatrix, budget: int, horizon: int | None = None
-) -> int | None:
+def dfree_exact(x: PolyMatrix, budget: int) -> int | None:
     """True free distance when it is <= budget, else None.
 
     Bounded-weight DFS over information frames; the state is the last mu
     frames and a path closes (yields a codeword) when the state flushes
-    to all zero. The default horizon budget * (mu + 1) frames is enough
-    for any codeword within budget; raise it only for diagnostics. A
-    horizon below 1 is rejected, as it would search nothing.
+    to all zero. It searches budget * (mu + 1) frames, enough for any
+    codeword within budget.
     """
     supports = _causal_supports(x)
-    if horizon is not None and horizon < 1:
-        raise ValueError("horizon must be positive")
     mu = memory(x)
     if reason := exact_search_guard(budget, mu):
         raise ValueError(reason)
-    depth = horizon if horizon is not None else budget * (mu + 1)
-    best = _lightest(supports, mu, depth - 1, budget + 1, window=False)
+    best = _lightest(supports, mu, budget * (mu + 1) - 1, budget + 1, window=False)
     return best if best <= budget else None
 
 

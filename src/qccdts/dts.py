@@ -137,8 +137,8 @@ class DtsFamily(_Record):
     """An ordered family of equal-weight support sets with its verdict.
 
     ``budget`` is the difference budget M, populated only for STRONG and
-    FULL_STRONG verdicts (the tightest valid budget unless an explicit
-    one was supplied to :func:`classify`).
+    FULL_STRONG verdicts: the family's largest difference, the tightest
+    valid budget.
     """
 
     __slots__ = ("sets", "classification", "budget")
@@ -189,8 +189,8 @@ def _below_dts(
     when one of them names a single entry, WDTS when the others collide
     or the sets have weight 1 (no differences at all). None means a DTS
     of weight >= 2, which is at least STRONG under any budget from its
-    largest difference up, so with no budget a family is STRONG (or
-    FULL_STRONG) exactly then.
+    largest difference up, so under :func:`classify`'s budget, that
+    largest difference, a family is STRONG (or FULL_STRONG) exactly then.
     """
     if any(len(c.entries) == 1 for c in collisions):
         return DtsClass.NOT_WDTS
@@ -199,12 +199,12 @@ def _below_dts(
     return None
 
 
-def classify(sets: Iterable[Iterable[int]], budget: int | None = None) -> DtsFamily:
+def classify(sets: Iterable[Iterable[int]]) -> DtsFamily:
     """Classify a family, recomputing the verdict from scratch.
 
-    An explicit ``budget`` caps the admissible differences at {1..budget};
-    by default the budget is the maximum difference observed. Weight-1
-    sets have no differences and classify as WDTS vacuously.
+    The budget M is the largest difference observed, the tightest one, so
+    a DTS of weight >= 2 is STRONG at least and no family classifies as
+    DTS. Weight-1 sets have no differences and classify as WDTS vacuously.
     """
     members = _members(sets)
     below = _below_dts(members, repeated_differences(members))
@@ -212,11 +212,7 @@ def classify(sets: Iterable[Iterable[int]], budget: int | None = None) -> DtsFam
         return DtsFamily(members, below, None)
 
     w = len(members[0])
-    observed = max(s[-1] - s[0] for s in members)
-    m = observed if budget is None else budget
-    if m < observed:
-        return DtsFamily(members, DtsClass.DTS, None)
-
+    m = max(s[-1] - s[0] for s in members)
     # The r * C(w,2) differences are distinct and lie in 1..M, so they
     # cover 1..M exactly when there are M of them.
     if len(members) * (w * (w - 1) // 2) == m:

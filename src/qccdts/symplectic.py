@@ -23,8 +23,8 @@ call once it is built, and makes one set lookup that returns a shared
 supports once.
 
 ``check_reflection_symmetry`` tests the identity C_s = C_{2M-s}^T on
-[0, 2M], which for one row is C_s = C_{2M-s}: the per-delay
-column-occupancy parities form a palindrome over [0, M]. Many
+[0, 2M], M the row's memory, which for one row is C_s = C_{2M-s}: the
+per-delay column-occupancy parities form a palindrome over [0, M]. Many
 self-orthogonal rows do not satisfy it, so a False result here does not
 contradict commutation of a properly permuted pair. Comparing s in
 [0, M] suffices: a mismatch at s > M is the mismatch at 2M - s, which an
@@ -42,6 +42,7 @@ commutation check, with no further content.
 
 from __future__ import annotations
 
+from .csoc import memory
 from .gf2poly import Gf2Poly, PolyMatrix, _Record, _setattr
 
 
@@ -132,34 +133,25 @@ class ReflectionSymmetryReport(_Record):
     __slots__ = ("ok", "counterexample")
 
 
-def check_reflection_symmetry(
-    x: PolyMatrix, window: int | None = None
-) -> ReflectionSymmetryReport:
+def check_reflection_symmetry(x: PolyMatrix) -> ReflectionSymmetryReport:
     """Test C_s(X) = C_{2M-s}(X)^T for every s in [0, 2M].
 
-    The degree window M defaults to the largest exponent in the row's
-    supports; every exponent must lie inside [0, M]. On failure the
-    witness (s, 1, 1) names the first s of an ascending scan over [0, 2M]
-    with C_s != C_{2M-s}.
+    M is the row's memory, its largest exponent (``csoc.memory``, which
+    rejects the zero row); a negative exponent is rejected too. On failure
+    the witness (s, 1, 1) names the first s of an ascending scan over
+    [0, 2M] with C_s != C_{2M-s}.
     Only s in [0, M] is compared: a mismatch at s > M is the one at
     2M - s, earlier in the scan, so the half scan finds the same witness.
     """
-    supports = [p.support for p in x.row if p.support]
-    top = max((sup[-1] for sup in supports), default=None)
-    if window is None:
-        if top is None:
-            raise ValueError("cannot infer a degree window for the zero matrix")
-        window = top
-    if any(sup[0] < 0 for sup in supports):
+    m = memory(x)
+    if any(p.support and p.support[0] < 0 for p in x.row):
         raise ValueError("degree window violated: negative exponent present")
-    if top is not None and top > window:
-        raise ValueError(f"degree window violated: exponent {top} exceeds {window}")
 
     # All 2M+1 matrices are built before any comparison, so a failing row
     # costs as much as a passing one (the benchmark's tracer pins 2M+1 calls).
-    matrices = [sum_index_matrix(x, s) for s in range(2 * window + 1)]
+    matrices = [sum_index_matrix(x, s) for s in range(2 * m + 1)]
     mirrored = reversed(matrices)
-    for s, (lhs, rhs) in enumerate(zip(matrices[: window + 1], mirrored)):
+    for s, (lhs, rhs) in enumerate(zip(matrices[: m + 1], mirrored)):
         # rhs = C_{2M-s} is 1 x 1, so lhs == rhs is C_s = C_{2M-s}^T
         if lhs != rhs:
             return ReflectionSymmetryReport(ok=False, counterexample=(s, 1, 1))

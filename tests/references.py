@@ -31,15 +31,12 @@ def positive_differences(t: Sequence[int]) -> tuple[int, ...]:
 def reflect_family(family: DtsFamily) -> DtsFamily:
     """Reflect every member set about the family scope, keeping its order.
 
-    The result is re-classified from scratch, carrying any explicit
-    budget through, so it keeps the original difference spectrum, scope
-    and classification. With the identity pi its sets are the parity
-    supports of ``build_z``.
+    The result is re-classified from scratch. Reflection keeps each set's
+    differences, so it keeps the original difference spectrum, scope,
+    budget and classification. With the identity pi its sets are the
+    parity supports of ``build_z``.
     """
-    return classify(
-        [Gf2Poly(s).reverse(family.scope).support for s in family.sets],
-        budget=family.budget,
-    )
+    return classify([Gf2Poly(s).reverse(family.scope).support for s in family.sets])
 
 
 def list_pool_search(r: int, w: int, max_scope: int) -> Iterator[DtsFamily]:

@@ -242,7 +242,7 @@ def test_criterion_5_sum_index_symmetry():
 
     for row in TABLE_ROWS:
         x = _x_of(row)
-        report = check_reflection_symmetry(x, row.m)
+        report = check_reflection_symmetry(x)
         if not report.ok:
             s, a, b = report.counterexample
             failures.append(

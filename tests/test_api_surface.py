@@ -1,5 +1,6 @@
 """The package's public names, pinned so any change shows as a one-line diff,
-and each public function reached by at least one recorded command."""
+and each public function and each of its parameters reached by at least one
+recorded command."""
 
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ import io
 import json
 import pathlib
 import pkgutil
+
+import pytest
 
 import qccdts
 from qccdts import cli
@@ -91,19 +94,33 @@ def _replay_recorded_commands(tmp_path: pathlib.Path) -> None:
             assert code == case["exit"], (path.name, argv)
 
 
-def test_every_public_function_is_called_by_a_recorded_command(monkeypatch, tmp_path):
-    monkeypatch.delenv("QCCDTS_MAX_SEARCH", raising=False)
-    public = {
-        id(fn): name
+def _public_functions() -> dict[str, object]:
+    return {
+        name: fn
         for name in qccdts.__all__
         if inspect.isfunction(fn := getattr(qccdts, name))
     }
-    called = set()
+
+
+@pytest.fixture(scope="module")
+def bound(tmp_path_factory) -> dict[str, set[str]]:
+    """Replay the recorded commands once with every public function wrapped.
+
+    Maps the name of each public function that some command called to the
+    parameters its calls bound; a parameter left at its default is not
+    bound.
+    """
+    public = {id(fn): name for name, fn in _public_functions().items()}
+    bindings: dict[str, set[str]] = {}
 
     def recording(name, fn):
+        signature = inspect.signature(fn)
+
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            called.add(name)
+            bindings.setdefault(name, set()).update(
+                signature.bind(*args, **kwargs).arguments
+            )
             return fn(*args, **kwargs)
 
         return wrapper
@@ -114,10 +131,27 @@ def test_every_public_function_is_called_by_a_recorded_command(monkeypatch, tmp_
         importlib.import_module(f"qccdts.{info.name}")
         for info in pkgutil.iter_modules(qccdts.__path__)
     ]
-    for module in modules:
-        for attr, obj in list(vars(module).items()):
-            if id(obj) in public:
-                monkeypatch.setattr(module, attr, recording(public[id(obj)], obj))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.delenv("QCCDTS_MAX_SEARCH", raising=False)
+        for module in modules:
+            for attr, obj in list(vars(module).items()):
+                if id(obj) in public:
+                    monkeypatch.setattr(module, attr, recording(public[id(obj)], obj))
+        _replay_recorded_commands(tmp_path_factory.mktemp("replay"))
+    return bindings
 
-    _replay_recorded_commands(tmp_path)
-    assert sorted(set(public.values()) - called) == []
+
+def test_every_public_function_is_called_by_a_recorded_command(bound):
+    assert sorted(set(_public_functions()) - set(bound)) == []
+
+
+def test_every_public_parameter_is_set_by_a_recorded_command(bound):
+    """A parameter that no command sets is a setting with one value in
+    use, which the construction should fix from its input instead."""
+    unset = [
+        f"{name}.{param}"
+        for name, fn in _public_functions().items()
+        for param in inspect.signature(fn).parameters
+        if param not in bound.get(name, ())
+    ]
+    assert sorted(unset) == []

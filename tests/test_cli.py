@@ -176,8 +176,9 @@ class TestBuild:
         ids=["crlf", "lone cr", "crlf in a string", "utf-8 bom", "non-utf-8 past 8 KiB"],
     )
     def test_malformed_json_message_is_pinned(self, capsys, tmp_path, data, message):
-        """The file is read as bytes and decoded once, yet each message
-        names the positions a text-mode read gave, CRs translated."""
+        """The file is decoded once and its CRs translated to LF before
+        the one parse, so each message names positions in the translated
+        text, as a text-mode read gives."""
         path = tmp_path / "input.json"
         path.write_bytes(data)
         code, out, err = run_cli(capsys, "verify", "--input", str(path))

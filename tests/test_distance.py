@@ -453,12 +453,6 @@ class TestDfreeExact:
         with pytest.raises(ValueError, match="guard"):
             dfree_exact(example_x, budget=7)
 
-    @pytest.mark.parametrize("horizon", [0, -3])
-    def test_horizon_below_one_rejected(self, example_x, horizon):
-        # A horizon of no frames searches nothing, so None would be a lie.
-        with pytest.raises(ValueError, match="^horizon must be positive$"):
-            dfree_exact(example_x, budget=3, horizon=horizon)
-
     def test_memory_guard(self):
         fam = classify([(0, 1, 3, 7), (0, 5, 13, 22)])
         with pytest.raises(ValueError, match="memory"):
@@ -471,6 +465,9 @@ class TestDfreeExact:
         assert dfree_exact(x, budget=4) == dfree_exact(permuted, budget=4)
 
     def test_matches_bruteforce_with_horizon(self):
+        """The search under dfree_exact, cut to ``horizon`` frames, finds
+        the lightest codeword that closes within them, at depths short of
+        its budget * (mu + 1)."""
         rng = random.Random(43)
         non_csoc = 0
         for _ in range(40):
@@ -478,17 +475,23 @@ class TestDfreeExact:
             mu = rng.randint(0, 4)
             x = _random_row(rng, streams, mu)
             non_csoc += not is_csoc(x).ok
+            supports = parity_supports(x)
             for horizon in range(1, mu + 1 + 10 // streams):
                 lightest = _dfree_bruteforce(x, horizon)
                 for budget in range(1, 6):
-                    assert dfree_exact(x, budget, horizon) == _within(
-                        lightest, budget
-                    ), (parity_supports(x), budget, horizon)
+                    found = distance._lightest(
+                        supports, mu, horizon - 1, budget + 1, window=False
+                    )
+                    assert _within(found, budget) == _within(lightest, budget), (
+                        supports,
+                        budget,
+                        horizon,
+                    )
         assert non_csoc >= 10
 
     def test_matches_bruteforce_at_default_horizon(self):
-        # The default horizon budget * (mu + 1) must lose no codeword
-        # within budget: compare with every span up to it.
+        # The depth budget * (mu + 1) must lose no codeword within
+        # budget: compare with every span up to it.
         rng = random.Random(47)
         for _ in range(30):
             streams = rng.randint(1, 2)

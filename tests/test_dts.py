@@ -138,16 +138,6 @@ class TestClassify:
         assert fam.classification is DtsClass.WDTS
         assert fam.budget is None
 
-    def test_explicit_budget_below_observed_demotes(self):
-        fam = classify([(0, 1), (0, 5)], budget=3)
-        assert fam.classification is DtsClass.DTS
-        assert fam.budget is None
-
-    def test_explicit_budget_above_observed(self):
-        fam = classify([(0, 1), (0, 2)], budget=5)
-        assert fam.classification is DtsClass.STRONG
-        assert fam.budget == 5
-
     def test_scope_and_weight(self):
         fam = classify([(0, 1, 3), (0, 4, 9)])
         assert fam.scope == 9

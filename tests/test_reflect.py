@@ -49,18 +49,13 @@ class TestReflectFamily:
             twice = reflect_family(reflect_family(fam))
             assert twice.sets == fam.sets
 
-    def test_explicit_budget_survives(self):
-        fam = classify([(0, 1), (0, 2)], budget=5)
-        reflected = reflect_family(fam)
-        assert reflected.classification == fam.classification
-        assert reflected.budget == 5
-
     def test_preserves_classification_scope_spectrum(self):
         for r, w in ((1, 2), (2, 2), (2, 3), (3, 2)):
             for fam in search_strong_dts(r, w, 8):
                 reflected = reflect_family(fam)
                 assert reflected.classification == fam.classification
                 assert reflected.scope == fam.scope
+                assert reflected.budget == fam.budget
                 assert sorted(map(positive_differences, reflected.sets)) == sorted(
                     map(positive_differences, fam.sets)
                 )

@@ -57,6 +57,17 @@ def _random_row(rng: random.Random, cols: int, exponents) -> PolyMatrix:
     )
 
 
+def _random_row_of_memory(rng: random.Random, cols: int, window: int) -> PolyMatrix:
+    """Up to three taps per column from [0, window], plus the tap at
+    ``window`` in one column, so the row's memory is ``window``."""
+    columns = [
+        set(rng.sample(range(window + 1), rng.randint(0, min(3, window + 1))))
+        for _ in range(cols)
+    ]
+    columns[rng.randrange(cols)].add(window)
+    return PolyMatrix.from_supports([sorted(c) for c in columns])
+
+
 def _row(*supports) -> PolyMatrix:
     return PolyMatrix.from_supports(supports)
 
@@ -358,14 +369,14 @@ class TestOddDelayMemo:
 
 class TestReflectionSymmetry:
     def test_running_example_holds(self, example_x):
-        report = check_reflection_symmetry(example_x, 2)
+        report = check_reflection_symmetry(example_x)
         assert report.ok
         assert report.counterexample is None
 
     def test_non_csoc_negative_control(self):
         x = _row((0, 1, 2), (0,))
         assert not is_csoc(x).ok
-        report = check_reflection_symmetry(x, 2)
+        report = check_reflection_symmetry(x)
         assert not report.ok
         s, a, b = report.counterexample
         # cross-check the witness against direct enumeration
@@ -378,33 +389,25 @@ class TestReflectionSymmetry:
         self-orthogonality."""
         x = _row((0, 1), (0, 3), (0,))
         assert is_csoc(x).ok
-        report = check_reflection_symmetry(x, 3)
+        report = check_reflection_symmetry(x)
         assert not report.ok
         assert report.counterexample == (2, 1, 1)
 
     def test_equivalent_to_palindromic_occupancy(self):
         """For one-row matrices the identity reduces to a palindrome test
-        on per-delay column-occupancy parities."""
+        on per-delay column-occupancy parities over [0, M]."""
         rng = random.Random(9)
         for _ in range(200):
             n = rng.randint(1, 4)
             window = rng.randint(0, 6)
-            x = _row(
-                *[
-                    tuple(
-                        sorted(
-                            rng.sample(range(0, window + 1), rng.randint(0, min(3, window + 1)))
-                        )
-                    )
-                    for _ in range(n)
-                ]
-            )
+            x = _random_row_of_memory(rng, n, window)
+            assert memory(x) == window
             occupancy = [
                 sum(d in p.support for p in x.row) % 2
                 for d in range(window + 1)
             ]
             palindromic = occupancy == occupancy[::-1]
-            assert check_reflection_symmetry(x, window).ok == palindromic
+            assert check_reflection_symmetry(x).ok == palindromic
 
     def test_wide_scale_matches_palindromic_occupancy(self):
         """One-row X with memory in the thousands, as `verify` checks on
@@ -441,7 +444,7 @@ class TestReflectionSymmetry:
                 None,
             )
             want = None if d is None else (2 * d, 1, 1)
-            report = check_reflection_symmetry(x, window)
+            report = check_reflection_symmetry(x)
             assert (report.ok, report.counterexample) == (want is None, want)
             passing += want is None
             failing += want is not None
@@ -454,12 +457,10 @@ class TestReflectionSymmetry:
         rng = random.Random(29)
         checked = failing = 0
         while checked < 2000:
-            x = _random_row(rng, rng.randint(1, 4), range(7))
-            if x.is_zero():
-                continue
+            window = rng.randint(0, 8)
+            x = _random_row_of_memory(rng, rng.randint(1, 4), window)
             checked += 1
-            window = memory(x) + rng.randint(0, 2)
-            report = check_reflection_symmetry(x, window)
+            report = check_reflection_symmetry(x)
             want = _full_scan_reflection_symmetry(x, window)
             assert (report.ok, report.counterexample) == want
             failing += not want[0]
@@ -473,11 +474,7 @@ class TestReflectionSymmetry:
         assert _sum_index_oracle(x, s) != _sum_index_oracle(x, 2 * window - s)
         mirror = (2 * window - s, 1, 1)
         assert _full_scan_reflection_symmetry(x, window) == (False, mirror)
-        assert check_reflection_symmetry(x, window).counterexample == mirror
-
-    def test_window_violation_rejected(self, example_x):
-        with pytest.raises(ValueError, match="degree window"):
-            check_reflection_symmetry(example_x, 1)
+        assert check_reflection_symmetry(x).counterexample == mirror
 
 
 class TestSumIndexCallCount:
@@ -506,9 +503,16 @@ class TestSumIndexCallCount:
         assert report.counterexample == (0, 1, 1)
         assert calls == list(range(5))
 
-    def test_window_above_max_degree(self, calls, example_x):
-        check_reflection_symmetry(example_x, 6)
-        assert calls == list(range(13))
+    def test_zero_row_and_negative_exponent_rejected(self, calls):
+        """M is the row's memory, so the zero row has none, and an exponent
+        below 0 lies outside [0, M]; both raise before any C_s is built."""
+        with pytest.raises(ValueError, match="^memory of the zero matrix is undefined$"):
+            check_reflection_symmetry(_row((), (), ()))
+        with pytest.raises(
+            ValueError, match="^degree window violated: negative exponent present$"
+        ):
+            check_reflection_symmetry(_row((-1, 2), (0, 3), (0,)))
+        assert calls == []
 
     def test_verify_pair_on_catalogue_row(self, calls):
         row = TABLE_ROWS[4]

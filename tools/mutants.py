@@ -159,6 +159,14 @@ MUTANTS = [
         "if collisions:",
         ("tests/test_reflect.py",),
     ),
+    # The difference budget of dts.classify.
+    (
+        "classify budget read from the first set",
+        "dts.py",
+        "    m = max(s[-1] - s[0] for s in members)\n",
+        "    m = members[0][-1] - members[0][0]\n",
+        ("tests/test_dts.py",),
+    ),
     # The input parser, cli._code_input.
     (
         "one_based null rejected again",
@@ -180,10 +188,10 @@ MUTANTS = [
         ("tests/test_cli.py",),
     ),
     (
-        "malformed CRLF JSON names raw positions",
+        "input read without newline translation",
         "cli.py",
-        '        return json.loads(text.replace("\\r\\n", "\\n").replace("\\r", "\\n"))\n',
-        "        raise\n",
+        '    return json.loads(text.replace("\\r\\n", "\\n").replace("\\r", "\\n"))\n',
+        "    return json.loads(text)\n",
         ("tests/test_cli.py",),
     ),
     (
@@ -383,8 +391,8 @@ MUTANTS = [
     (
         "dfree_exact seeded with budget",
         "distance.py",
-        "depth - 1, budget + 1, window=False)",
-        "depth - 1, budget, window=False)",
+        "budget * (mu + 1) - 1, budget + 1, window=False)",
+        "budget * (mu + 1) - 1, budget, window=False)",
         ("tests/test_distance.py",),
     ),
     (
@@ -434,13 +442,6 @@ MUTANTS = [
         "distance.py",
         "    if seed <= 2 or is_csoc(h).ok:\n",
         "    if seed <= 2 or is_csoc(h):\n",
-        ("tests/test_distance.py",),
-    ),
-    (
-        "dfree_exact accepts horizon 0",
-        "distance.py",
-        "if horizon is not None and horizon < 1:",
-        "if horizon is not None and horizon < 0:",
         ("tests/test_distance.py",),
     ),
     (
@@ -639,8 +640,22 @@ MUTANTS = [
     (
         "A7 scan stops at M / 2",
         "symplectic.py",
-        "zip(matrices[: window + 1], mirrored)",
-        "zip(matrices[: window // 2 + 1], mirrored)",
+        "zip(matrices[: m + 1], mirrored)",
+        "zip(matrices[: m // 2 + 1], mirrored)",
+        ("tests/test_symplectic.py",),
+    ),
+    (
+        "A7 window from the first parity column",
+        "symplectic.py",
+        "    m = memory(x)\n",
+        "    m = x.row[0].support[-1]\n",
+        ("tests/test_symplectic.py",),
+    ),
+    (
+        "A7 accepts a negative exponent",
+        "symplectic.py",
+        "    if any(p.support and p.support[0] < 0 for p in x.row):\n",
+        "    if False:\n",
         ("tests/test_symplectic.py",),
     ),
     # The reflect command.
